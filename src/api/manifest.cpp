@@ -19,6 +19,7 @@
 #include "common/env.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/seed.hpp"
+#include "runtime/worker_team.hpp"
 
 namespace dfsim {
 
@@ -385,8 +386,8 @@ ManifestRunSummary run_manifest(const Manifest& m,
 
   std::mutex log_mu;
   if (!opts.claim) {
-    // Single-process mode: the pending set is fixed, shard it statically
-    // across the thread pool (the historical path, byte-for-byte).
+    // Single-process mode: the pending set is fixed, run it through
+    // parallel_for (the historical path, byte-for-byte).
     std::size_t done = 0;
     runtime::parallel_for(pending.size(), opts.jobs, [&](std::size_t k) {
       const std::size_t i = pending[k];
@@ -402,8 +403,8 @@ ManifestRunSummary run_manifest(const Manifest& m,
     });
     summary.ran_points = pending.size();
   } else {
-    // Claim mode: workers (threads here, processes/machines across the
-    // fleet) dynamically partition the pending points by taking
+    // Claim mode: workers (a WorkerTeam here, processes/machines across
+    // the fleet) dynamically partition the pending points by taking
     // claim_NNNN leases. A worker keeps scanning until the ledger is
     // complete, stealing expired leases of crashed peers along the way;
     // with no claimable work it backs off and re-polls (no_merge exits
@@ -411,10 +412,8 @@ ManifestRunSummary run_manifest(const Manifest& m,
     std::atomic<std::size_t> ran{0};
     std::atomic<std::size_t> stolen{0};
     std::atomic<std::size_t> logged{0};
-    std::mutex error_mu;
-    std::exception_ptr first_error;
 
-    auto claim_worker = [&]() {
+    const auto claim_worker = [&](int) {
       PointClaimer claimer(run_dir, ttl);
       SweepOptions wopts = sopts;
       wopts.jobs = 1;
@@ -474,25 +473,8 @@ ManifestRunSummary run_manifest(const Manifest& m,
         }
       }
     };
-    auto guarded_worker = [&]() {
-      try {
-        claim_worker();
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-    };
-
-    const int workers = runtime::resolve_jobs(opts.jobs);
-    if (workers <= 1) {
-      guarded_worker();
-    } else {
-      std::vector<std::thread> team;
-      team.reserve(static_cast<std::size_t>(workers));
-      for (int w = 0; w < workers; ++w) team.emplace_back(guarded_worker);
-      for (std::thread& t : team) t.join();
-    }
-    if (first_error) std::rethrow_exception(first_error);
+    runtime::WorkerTeam team(runtime::resolve_jobs(opts.jobs));
+    team.run(claim_worker);
     summary.ran_points = ran.load();
     summary.stolen_leases = stolen.load();
   }

@@ -4,7 +4,7 @@
 //
 // All grids execute through ONE path — run_experiments — on top of the
 // parallel runtime (src/runtime/): grid points are independent
-// simulations, so they are sharded across a thread pool. Each point runs
+// simulations, so they are split across a WorkerTeam. Each point runs
 // with a deterministic seed derived from the base config's seed and the
 // point's grid index, which makes the output bit-identical for any worker
 // count — `--jobs=1` and `--jobs=N` produce the same CSV bytes in the

@@ -8,6 +8,7 @@
 // checkpoint is rejected instead of silently restoring garbage.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <istream>
@@ -103,17 +104,27 @@ inline void write_string(std::ostream& os, const std::string& s) {
   write_bytes(os, s.data(), s.size());
 }
 
+/// Payloads are read in chunks of this many bytes, growing the buffer
+/// only as bytes actually arrive: a corrupt length prefix then fails as
+/// truncation after allocating about what the stream holds, never the
+/// gigabytes the length claims.
+inline constexpr std::size_t kReadChunkBytes = 64 * 1024;
+
 inline std::string read_string(std::istream& is, const char* what) {
   const std::uint64_t n = read_u64(is, what);
-  // A length beyond any sane checkpoint is corruption, not a string; cap
-  // before allocating so a flipped length byte cannot demand petabytes.
+  // A length beyond any sane checkpoint is corruption, not a string.
   if (n > (1ULL << 32)) {
     throw std::runtime_error(
         std::string("checkpoint corrupt: implausible string length for ") +
         what);
   }
-  std::string s(static_cast<std::size_t>(n), '\0');
-  if (n > 0) read_bytes(is, s.data(), static_cast<std::size_t>(n), what);
+  std::string s;
+  while (s.size() < n) {
+    const std::size_t at = s.size();
+    const std::size_t take = std::min<std::size_t>(n - at, kReadChunkBytes);
+    s.resize(at + take);
+    read_bytes(is, s.data() + at, take, what);
+  }
   return s;
 }
 
@@ -144,8 +155,9 @@ inline std::vector<std::uint64_t> read_u64_vec(std::istream& is,
         std::string("checkpoint corrupt: implausible vector length for ") +
         what);
   }
-  std::vector<std::uint64_t> v(static_cast<std::size_t>(n));
-  for (auto& x : v) x = read_u64(is, what);
+  std::vector<std::uint64_t> v;
+  v.reserve(std::min<std::size_t>(n, kReadChunkBytes / sizeof(std::uint64_t)));
+  for (std::uint64_t i = 0; i < n; ++i) v.push_back(read_u64(is, what));
   return v;
 }
 

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <exception>
-#include <mutex>
 #include <thread>
 
 #include "common/env.hpp"
-#include "runtime/thread_pool.hpp"
-#include "runtime/work_queue.hpp"
+#include "runtime/worker_team.hpp"
 
 namespace dfsim::runtime {
 
@@ -34,7 +31,9 @@ int default_jobs() {
 }
 
 int resolve_jobs(int requested) {
-  return requested > 0 ? requested : default_jobs();
+  if (requested > 0) return requested;
+  const int share = WorkerTeam::budget_share();
+  return share > 0 ? share : default_jobs();
 }
 
 void parallel_for(std::size_t n, int jobs,
@@ -43,36 +42,26 @@ void parallel_for(std::size_t n, int jobs,
   const int workers = std::min<int>(resolve_jobs(jobs),
                                     static_cast<int>(std::min<std::size_t>(
                                         n, 1u << 16)));
-  if (workers <= 1 || n == 1) {
+  if (workers <= 1) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
 
-  // Over-shard 4x so slow points (high load, adversarial patterns) don't
-  // leave the other workers idle at the tail of the grid.
-  ShardedIndexQueue queue(n, static_cast<std::size_t>(workers) * 4);
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-
-  ThreadPool pool(workers);
-  for (int w = 0; w < workers; ++w) {
-    pool.submit([&] {
-      std::size_t begin = 0, end = 0;
-      while (queue.next(begin, end)) {
-        for (std::size_t i = begin; i < end; ++i) {
-          try {
-            body(i);
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(error_mu);
-            if (!first_error) first_error = std::current_exception();
-          }
-        }
+  // Workers claim contiguous chunks off one cursor. Over-shard 4x so slow
+  // points (high load, adversarial patterns) don't leave the other
+  // workers idle at the tail of the grid.
+  const std::size_t chunks = std::min(n, static_cast<std::size_t>(workers) * 4);
+  std::atomic<std::size_t> cursor{0};
+  WorkerTeam team(workers);
+  team.run([&](int) {
+    for (;;) {
+      const std::size_t c = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (c >= chunks) return;
+      for (std::size_t i = c * n / chunks; i < (c + 1) * n / chunks; ++i) {
+        body(i);
       }
-    });
-  }
-  pool.wait_idle();
-
-  if (first_error) std::rethrow_exception(first_error);
+    }
+  });
 }
 
 }  // namespace dfsim::runtime

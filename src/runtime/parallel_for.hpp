@@ -1,7 +1,8 @@
-// parallel_for: execute body(0..n-1) across a thread pool, claiming work
-// through a sharded index queue. Results written by index are bit-identical
-// to a serial loop regardless of worker count — the backbone of
-// `parallel_sweep` and every figure bench's (routing, load) grid.
+// parallel_for: execute body(0..n-1) on a WorkerTeam whose workers claim
+// contiguous chunks of the range. Results written by index are
+// bit-identical to a serial loop regardless of worker count — the
+// backbone of run_experiments and every figure bench's (routing, load)
+// grid.
 #pragma once
 
 #include <cstddef>
@@ -10,9 +11,10 @@
 
 namespace dfsim::runtime {
 
-/// Worker count actually used for `requested`: requested > 0 wins, else
-/// the process default (set_default_jobs / DF_JOBS env), else
-/// std::thread::hardware_concurrency().
+/// Worker count actually used for `requested`: requested > 0 wins; on a
+/// WorkerTeam worker, else its share of the team's budget (see
+/// WorkerTeam); else the process default (set_default_jobs / DF_JOBS
+/// env), else std::thread::hardware_concurrency().
 int resolve_jobs(int requested);
 
 /// Process-wide default used when a call site passes jobs <= 0.

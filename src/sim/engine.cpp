@@ -6,9 +6,9 @@
 #include <stdexcept>
 #include <type_traits>
 
-// Complete BarrierTeam type: the constructor's exception cleanup destroys
+// Complete WorkerTeam type: the constructor's exception cleanup destroys
 // the shard_team_ member.
-#include "runtime/thread_pool.hpp"
+#include "runtime/worker_team.hpp"
 #include "traffic/pattern.hpp"
 #include "traffic/workload.hpp"
 

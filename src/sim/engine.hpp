@@ -21,7 +21,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -38,7 +37,7 @@
 namespace dfsim {
 
 namespace runtime {
-class BarrierTeam;
+class WorkerTeam;
 }
 
 class TrafficPattern;
@@ -69,14 +68,17 @@ struct EngineConfig {
   int source_queue_cap = 256;
 
   /// Opt-in group-sharded parallel stepper (DF_ENGINE=sharded): routers
-  /// are partitioned by group across a thread pool with per-cycle
+  /// are partitioned by group across a worker team with per-cycle
   /// barriers, and every RNG draw comes from a counter-based stream keyed
   /// by (seed, cycle, entity) — results are bit-identical for ANY worker
   /// count, but NOT bit-compatible with the default exact mode (whose
   /// single-stream ascending draw order is its own contract). VCT only.
   bool sharded = false;
-  /// Worker threads for the sharded stepper; 0 resolves via
-  /// runtime::resolve_jobs (--jobs / DF_JOBS / hardware concurrency).
+  /// Worker threads for the sharded stepper (capped at the group count);
+  /// > 0 is taken as given. 0 resolves via runtime::resolve_jobs under
+  /// the one-budget nesting rule: an engine built on a parallel grid's
+  /// worker gets that worker's share (--jobs / DF_JOBS divided by the
+  /// grid's workers), one built anywhere else the whole budget.
   int shard_jobs = 0;
 
   /// Per-phase cycle profiler for the sharded stepper (DF_PROFILE=1 is
@@ -766,18 +768,13 @@ class Engine {
   };
   std::vector<Shard> shards_;
   bool sharded_ = false;
-  std::unique_ptr<runtime::BarrierTeam> shard_team_;
-  /// Phase dispatched to the persistent worker team; set by run_shards
-  /// before releasing the barrier (the team's callback is fixed).
+  /// Persistent team for the parallel phases; null when the stepper runs
+  /// on one worker. Sized by EngineConfig::shard_jobs under the nesting
+  /// rule, capped at the shard count.
+  std::unique_ptr<runtime::WorkerTeam> shard_team_;
+  /// Phase dispatched to the team; set by run_shards before releasing
+  /// the barrier, so the per-phase callback stays one pointer wide.
   void (Engine::*shard_phase_)(Shard&) = nullptr;
-  /// Dynamic-claim cursor (DF_SHARD_ASSIGN=dynamic fallback path).
-  std::atomic<std::size_t> shard_next_{0};
-  int shard_workers_ = 1;
-  /// Static block assignment (the default): worker w owns shards
-  /// [w*n/W, (w+1)*n/W) every phase of every cycle, so a shard's state
-  /// stays in one worker's cache. DF_SHARD_ASSIGN=dynamic restores the
-  /// PR-7 atomic-claim behavior (useful when shard costs are skewed).
-  bool shard_assign_static_ = true;
   /// shard_of(router): routers_per_group is fixed per topology.
   int routers_per_shard_ = 1;
   std::size_t shard_of(RouterId r) const {

@@ -37,7 +37,7 @@
 
 #include "common/env.hpp"
 #include "runtime/parallel_for.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/worker_team.hpp"
 #include "sim/engine.hpp"
 #include "traffic/pattern.hpp"
 #include "traffic/workload.hpp"
@@ -74,7 +74,7 @@ Engine::PhaseProfile accumulated_phase_profile() {
   return g_profile_total;
 }
 
-// Defined here (not in engine.cpp) so the unique_ptr<BarrierTeam> member
+// Defined here (not in engine.cpp) so the unique_ptr<WorkerTeam> member
 // destroys against the complete type.
 Engine::~Engine() {
   if (profile_ && profile_data_.steps > 0) {
@@ -99,39 +99,28 @@ void Engine::init_shards() {
     sh.credit_ring.reset(ring_size_);
     sh.delivery_ring.reset(ring_size_);
   }
-  shard_assign_static_ =
-      env_str("DF_SHARD_ASSIGN", "static") != "dynamic";
-  shard_workers_ =
+  // shard_jobs <= 0 resolves through the runtime's one thread budget: the
+  // whole budget for a point run on its own, this thread's share of it
+  // for a point run by a parallel grid's worker.
+  const int workers =
       std::min(runtime::resolve_jobs(cfg_.shard_jobs), num_shards);
-  if (shard_workers_ > 1) {
-    shard_team_ = std::make_unique<runtime::BarrierTeam>(
-        shard_workers_, [this](int w) { shard_worker(w); });
+  if (workers > 1) {
+    shard_team_ = std::make_unique<runtime::WorkerTeam>(workers);
   }
 }
 
-// The fixed per-worker callback the barrier team runs each phase. Static
-// block assignment keeps shard w's state in the same worker's cache for
-// both phases of every cycle; the dynamic path re-claims shards through
-// an atomic cursor (PR-7 behavior, useful under skewed shard costs).
-// Either way the phases touch disjoint state, so assignment affects only
-// locality, never results.
+// The per-worker body of one parallel phase. Static block assignment:
+// worker w owns shards [w*n/W, (w+1)*n/W) in both phases of every cycle,
+// so a shard's state stays in the same worker's cache. The phases touch
+// disjoint state, so the assignment affects only locality, never results.
 void Engine::shard_worker(int w) {
   void (Engine::*phase)(Shard&) = shard_phase_;
   const std::size_t n = shards_.size();
-  if (shard_assign_static_) {
-    const auto W = static_cast<std::size_t>(shard_workers_);
-    const auto uw = static_cast<std::size_t>(w);
-    const std::size_t lo = n * uw / W;
-    const std::size_t hi = n * (uw + 1) / W;
-    for (std::size_t i = lo; i < hi; ++i) (this->*phase)(shards_[i]);
-    return;
-  }
-  for (;;) {
-    const std::size_t i =
-        shard_next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= n) return;
-    (this->*phase)(shards_[i]);
-  }
+  const auto W = static_cast<std::size_t>(shard_team_->size());
+  const auto uw = static_cast<std::size_t>(w);
+  const std::size_t lo = n * uw / W;
+  const std::size_t hi = n * (uw + 1) / W;
+  for (std::size_t i = lo; i < hi; ++i) (this->*phase)(shards_[i]);
 }
 
 void Engine::run_shards(void (Engine::*phase)(Shard&)) {
@@ -140,8 +129,7 @@ void Engine::run_shards(void (Engine::*phase)(Shard&)) {
     return;
   }
   shard_phase_ = phase;
-  shard_next_.store(0, std::memory_order_relaxed);
-  shard_team_->run();
+  shard_team_->run([this](int w) { shard_worker(w); });
 }
 
 bool Engine::step_sharded() {

@@ -1,21 +1,29 @@
 // The contract of the parallel sweep runtime: worker count changes
 // wall-clock, never results. 1 worker and N workers must produce the same
 // ExperimentResult vector — same seeds, same ordering, bit-identical
-// metrics — and the primitives underneath (parallel_for, the sharded
-// queue, seed derivation) must be deterministic and complete.
+// metrics — the primitives underneath (parallel_for, seed derivation)
+// must be deterministic and complete, and a grid of sharded points must
+// stay inside one thread budget.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <filesystem>
+#include <iterator>
+#include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "api/config.hpp"
 #include "api/sweep.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/seed.hpp"
-#include "runtime/work_queue.hpp"
+#include "runtime/worker_team.hpp"
 
 namespace dfsim {
 namespace {
@@ -131,12 +139,19 @@ TEST(DeriveSeedTest, DeterministicAndDistinct) {
 }
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  constexpr std::size_t kN = 1000;
-  std::vector<std::atomic<int>> hits(kN);
-  runtime::parallel_for(kN, 8,
-                        [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  // (n, jobs) shapes: chunks of several indices, a chunk count that does
+  // not divide n (103 over 2 workers = 8 chunks), and more workers than
+  // indices.
+  const std::vector<std::pair<std::size_t, int>> shapes = {
+      {1000, 8}, {103, 2}, {5, 8}, {1, 4}};
+  for (const auto& [n, jobs] : shapes) {
+    SCOPED_TRACE(n);
+    std::vector<std::atomic<int>> hits(n);
+    runtime::parallel_for(n, jobs,
+                          [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+    }
   }
 }
 
@@ -158,28 +173,70 @@ TEST(ParallelForTest, ParallelMapIsOrdered) {
   }
 }
 
-TEST(ShardedIndexQueueTest, ShardsPartitionTheRange) {
-  runtime::ShardedIndexQueue queue(103, 8);
-  std::vector<bool> covered(103, false);
-  std::size_t begin = 0, end = 0;
-  while (queue.next(begin, end)) {
-    ASSERT_LE(end, covered.size());
-    for (std::size_t i = begin; i < end; ++i) {
-      ASSERT_FALSE(covered[i]) << "index " << i << " claimed twice";
-      covered[i] = true;
-    }
-  }
-  for (std::size_t i = 0; i < covered.size(); ++i) {
-    ASSERT_TRUE(covered[i]) << "index " << i << " never claimed";
-  }
-}
-
 TEST(ResolveJobsTest, ExplicitRequestWinsOverDefault) {
   runtime::set_default_jobs(3);
   EXPECT_EQ(runtime::resolve_jobs(5), 5);
   EXPECT_EQ(runtime::resolve_jobs(0), 3);
   runtime::set_default_jobs(0);  // back to auto
   EXPECT_GE(runtime::resolve_jobs(0), 1);
+}
+
+// --- one thread budget ----------------------------------------------------
+
+/// Live threads of this process, from /proc/self/task.
+int live_threads() {
+  std::filesystem::directory_iterator it("/proc/self/task"), end;
+  return static_cast<int>(std::distance(it, end));
+}
+
+/// Runs `points` sharded h=2 points through run_experiments under
+/// `--jobs=<jobs>` (the process default, as the benches set it) and
+/// returns the most threads alive at any periodic checkpoint, when every
+/// point's engine (and its shard team, if any) is mid-run.
+int peak_threads_of_sharded_grid(std::size_t points, int jobs) {
+  runtime::set_default_jobs(jobs);
+  // A throwaway team first, so a thread a sanitizer runtime spawns on the
+  // first thread creation is already in the baseline.
+  runtime::WorkerTeam(2).run([](int) {});
+  const int baseline = live_threads();
+  std::filesystem::path dir = std::filesystem::temp_directory_path();
+  dir /= "dfsim_budget_" + std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+
+  SimConfig cfg = tiny_config();
+  cfg.engine = "sharded";
+  std::vector<double> loads;
+  for (std::size_t i = 0; i < points; ++i) loads.push_back(0.1 + 0.05 * i);
+  SweepOptions opts;
+  opts.checkpoint_every = 100;
+  opts.checkpoint_path = [&dir](std::size_t i) {
+    return (dir / ("point_" + std::to_string(i) + ".ckpt")).string();
+  };
+  std::mutex mu;
+  int peak = 0;
+  opts.on_checkpoint = [&](std::size_t) {
+    const int now = live_threads();
+    std::lock_guard<std::mutex> lock(mu);
+    peak = std::max(peak, now);
+  };
+  const auto results = run_experiments(sweep_grid(cfg, {"olm"}, loads), opts);
+  std::filesystem::remove_all(dir);
+  runtime::set_default_jobs(0);
+  EXPECT_EQ(results.size(), points);
+  // The calling thread plus every thread the run added.
+  return peak - baseline + 1;
+}
+
+TEST(ThreadBudgetTest, ShardedGridStaysWithinTheBudget) {
+  // 8 points over 4 workers: each point's engine gets 4 / 4 = 1 shard
+  // worker, so the grid never runs more than its 4 threads (not 4 + 4*3).
+  EXPECT_LE(peak_threads_of_sharded_grid(8, 4), 4);
+}
+
+TEST(ThreadBudgetTest, SingleShardedPointGetsTheWholeBudget) {
+  // One point runs inline on the caller, so its shard team is not nested
+  // and takes the whole budget: 4 shard workers.
+  EXPECT_EQ(peak_threads_of_sharded_grid(1, 4), 4);
 }
 
 }  // namespace
