@@ -99,10 +99,11 @@ struct SimConfig {
   std::string workload;
 
   // --- engine -------------------------------------------------------------
-  // "exact" (default): the serial stepper whose single-RNG ascending draw
-  // order is the historical bit-identity contract. "sharded": the
-  // group-sharded parallel stepper — deterministic for any worker count
-  // via counter-based RNG streams, but a different stream than exact.
+  // Both modes run the one cycle stepper. "exact" (default): one shard
+  // spanning every router, drawing from a single RNG in ascending order —
+  // the historical bit-identity contract. "sharded": one shard per group
+  // on a worker team — deterministic for any worker count via
+  // counter-based RNG streams, but a different stream than exact.
   // Worker count is NOT part of the config (DF_JOBS / --jobs at runtime),
   // so describe() and checkpoints stay worker-independent.
   std::string engine = "exact";

@@ -108,7 +108,7 @@ inline std::uint64_t mix64(std::uint64_t state, std::uint64_t word) {
 /// (seed, cycle, domain, entity). Any party that knows the key gets the
 /// identical stream — no shared cursor, so draw results are independent
 /// of which worker evaluates which entity. This is the sharded engine's
-/// determinism contract (see engine_sharded.cpp): `domain` separates
+/// determinism contract (see engine_step.cpp): `domain` separates
 /// draw sites (allocation vs injection), `entity` is the VC index or
 /// terminal id.
 inline Rng keyed_stream(std::uint64_t seed, std::uint64_t cycle,

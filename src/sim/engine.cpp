@@ -159,7 +159,6 @@ Engine::Engine(const DragonflyTopology& topo, const EngineConfig& cfg,
   occupied_ports_.assign(num_routers * static_cast<std::size_t>(occ_words_),
                          0);
   nonempty_vcs_.assign(num_routers, 0);
-  active_routers_.assign((num_routers + 63) / 64, 0);
 
   // Carve the per-VC flit rings out of one contiguous arena. Every flit
   // in flight is exactly flit_phits_ phits, so a VC of capacity C phits
@@ -202,8 +201,6 @@ Engine::Engine(const DragonflyTopology& topo, const EngineConfig& cfg,
   }
 
   terminals_.resize(static_cast<size_t>(topo_.num_terminals()));
-  pending_terminals_.assign(
-      (static_cast<std::size_t>(topo_.num_terminals()) + 63) / 64, 0);
   if (topo_.faulted()) {
     terminal_dead_.assign(static_cast<size_t>(topo_.num_terminals()), 0);
     for (NodeId t = 0; t < topo_.num_terminals(); ++t) {
@@ -218,9 +215,8 @@ Engine::Engine(const DragonflyTopology& topo, const EngineConfig& cfg,
       if (has_dead_terminals_ && terminal_dead_[static_cast<size_t>(t)]) {
         continue;
       }
-      TerminalState& ts = terminals_[static_cast<size_t>(t)];
-      ts.burst_remaining = injection_.burst_packets;
-      if (ts.burst_remaining > 0) mark_terminal_pending(t);
+      terminals_[static_cast<size_t>(t)].burst_remaining =
+          injection_.burst_packets;
     }
   }
 
@@ -242,9 +238,6 @@ Engine::Engine(const DragonflyTopology& topo, const EngineConfig& cfg,
 
   ring_size_ = next_pow2(static_cast<size_t>(
       cfg_.global_latency + std::max(cfg_.packet_phits, flit_phits_) + 4));
-  flit_ring_.reset(ring_size_);
-  credit_ring_.reset(ring_size_);
-  delivery_ring_.reset(ring_size_);
 
   // Pre-size for steady-state churn, but cap the reservation: at h=8+
   // shapes 4 packets/terminal would pre-commit hundreds of MB before a
@@ -253,71 +246,16 @@ Engine::Engine(const DragonflyTopology& topo, const EngineConfig& cfg,
       static_cast<std::size_t>(topo_.num_terminals()) * 4, std::size_t{1}
                                                                << 20));
 
-  scratch_.out_first_nom.assign(static_cast<size_t>(ports_), -1);
-
-  if (cfg_.sharded) init_shards();
-}
-
-void Engine::schedule_flit(Cycle at, FlitEvent ev) {
-  assert(at > now_ && at - now_ < ring_size_);
-  flit_ring_.push(ring_slot(at), ev);
-}
-
-void Engine::schedule_credit(Cycle at, CreditEvent ev) {
-  assert(at > now_ && at - now_ < ring_size_);
-  credit_ring_.push(ring_slot(at), ev);
-}
-
-void Engine::schedule_delivery(Cycle at, PacketId id) {
-  assert(at > now_ && at - now_ < ring_size_);
-  delivery_ring_.push(ring_slot(at), id);
-}
-
-void Engine::process_arrivals() {
-  const std::size_t slot = ring_slot(now_);
-
-  credit_ring_.drain(slot, [&](const CreditEvent& ev) {
-    const std::size_t ovidx = vc_index(ev.router, ev.port, ev.vc);
-    OutputVc& ovc = out_vcs_[ovidx];
-    ovc.credits_phits += ev.phits;
-    assert(ovc.credits_phits <= port_capacity(ev.port));
-    wake_waiters(ovidx);
-  });
-
-  flit_ring_.drain(slot, [&](const FlitEvent& ev) {
-    const std::size_t vidx = vc_index(ev.router, ev.port, ev.vc);
-    InputVc& ivc = in_vcs_[vidx];
-    if (ivc.fifo.empty()) {
-      ++nonempty_vcs_[static_cast<size_t>(ev.router)];
-      ivc.head_since = now_;
-      head_hop_[vidx] = kHeadUnknown;  // this flit becomes the head
-      const std::size_t pidx = port_index(ev.router, ev.port);
-      std::uint32_t& scan = in_scan_[pidx];
-      if ((scan >> 16) == 0) set_occupied(ev.router, ev.port);
-      scan |= 1u << (16 + ev.vc);
-      port_wake_[pidx] = 0;  // a fresh head makes the port actionable
-      mark_router_active(ev.router);
-    }
-    ivc.fifo.push_back(ev.flit);
-    ivc.occupancy_phits += ev.flit.size_phits;
-    if (pclass(ev.port) == PortClass::kTerminal) {
-      const NodeId t = ev.router * terminals_per_router_ +
-                       (ev.port - first_terminal_port_);
-      terminals_[static_cast<size_t>(t)].inflight_phits -= ev.flit.size_phits;
-    }
-    assert(ivc.occupancy_phits <= port_capacity(ev.port));
-  });
-
-  delivery_ring_.drain(slot, [&](PacketId id) { deliver(id); });
+  init_shards();
 }
 
 void Engine::deliver(PacketId id) {
   const Packet& pkt = pool_[id];
   ++delivered_packets_;
   delivered_phits_ += static_cast<std::uint64_t>(pkt.size_phits);
-  // Request-reply causality: deliveries run serially in BOTH steppers
-  // (the sharded deliver phase drains per-shard rings in ascending
-  // order), so queueing the reply here is deterministic.
+  // Request-reply causality: deliveries run serially (the deliver phase
+  // drains the per-shard rings in ascending order), so queueing the reply
+  // here is deterministic.
   if (workload_ != nullptr) maybe_reply(pkt);
   if (on_delivered_) on_delivered_(pkt, now_);
   pool_.release(id);
@@ -350,10 +288,6 @@ bool Engine::push_forced(NodeId t, NodeId dst, Cycle created,
   forced_created_[ti].push_back(created);
   forced_dst_[ti].push_back(dst);
   forced_flags_[ti].push_back(flags);
-  // The sharded stepper iterates its shard's terminal range directly and
-  // never reads the pending bitmap; skipping the mark there also keeps
-  // parallel-phase pushes (message bodies) off the shared bitmap words.
-  if (!sharded_) mark_terminal_pending(t);
   return true;
 }
 
@@ -379,8 +313,8 @@ void Engine::set_workload(Workload* w) {
   workload_ = w;
   workload_trace_ = w != nullptr && w->is_trace();
   if (w != nullptr && !has_forced_dst_) {
-    // Eager allocation: the sharded stepper queues message bodies from a
-    // parallel phase, which must never race a lazy resize.
+    // Eager allocation: keyed mode queues message bodies from a parallel
+    // phase, which must never race a lazy resize.
     const auto n = static_cast<std::size_t>(topo_.num_terminals());
     forced_dst_.resize(n);
     forced_created_.resize(n);
@@ -407,7 +341,7 @@ void Engine::set_terminal_loads(const std::vector<double>& loads) {
   for (std::size_t i = 0; i < loads.size(); ++i) {
     const double p = loads[i] / static_cast<double>(cfg_.packet_phits);
     terminal_gen_prob_[i] = p;
-    // 2^64-scaled threshold for the sharded counter-based coin; clamp at
+    // 2^64-scaled threshold for the keyed counter-based coin; clamp at
     // the all-ones word so p ~ 1 cannot overflow the conversion.
     terminal_gen_threshold_[i] =
         p >= 1.0 ? ~0ULL
@@ -416,32 +350,8 @@ void Engine::set_terminal_loads(const std::vector<double>& loads) {
   has_terminal_loads_ = true;
 }
 
-// Walk only routers with buffered flits, in ascending id order (the same
-// order as the exhaustive scan this replaces — routing mechanisms may draw
-// from the shared RNG inside decide(), so order is part of the contract).
-void Engine::allocate_active_routers() {
-  const std::size_t words = active_routers_.size();
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t bits = active_routers_[w];
-    if (bits == 0) continue;
-    std::uint64_t keep = bits;
-    while (bits != 0) {
-      const int b = std::countr_zero(bits);
-      bits &= bits - 1;
-      const auto r = static_cast<RouterId>(w * 64 + static_cast<size_t>(b));
-      if (nonempty_vcs_[static_cast<size_t>(r)] > 0) {
-        allocate_router(r, scratch_, nullptr);
-      }
-      if (nonempty_vcs_[static_cast<size_t>(r)] == 0) {
-        keep &= ~(1ULL << b);  // drained: drop from the worklist
-      }
-    }
-    active_routers_[w] = keep;
-  }
-}
-
-void Engine::allocate_router(RouterId r, AllocScratch& scratch,
-                             Shard* shard) {
+void Engine::allocate_router(RouterId r, Shard& s) {
+  AllocScratch& scratch = s.scratch;
   const std::size_t rbase = port_index(r, 0);
 
   scratch.noms.clear();
@@ -486,13 +396,7 @@ void Engine::allocate_router(RouterId r, AllocScratch& scratch,
           continue;
         }
         InputVc& ivc = in_vcs_[vidx];
-        if (now_ - ivc.head_since > cfg_.watchdog_cycles) {
-          if (shard != nullptr) {
-            shard->deadlock = true;
-          } else {
-            deadlock_ = true;
-          }
-        }
+        if (now_ - ivc.head_since > cfg_.watchdog_cycles) s.deadlock = true;
 
         Nomination nom{p, v, kInvalid, 0, false, {}};
         std::int16_t hh = head_hop_[vidx];
@@ -531,16 +435,10 @@ void Engine::allocate_router(RouterId r, AllocScratch& scratch,
           const Flit& flit = ivc.fifo.front();
           assert(flit.head);
           Packet& pkt = pool_[flit.packet];
-          // Sharded mode draws from a counter-based stream keyed by
-          // (seed, cycle, VC index): any worker evaluating this decision
-          // constructs the identical stream. Exact mode keeps the single
-          // shared cursor, whose ascending draw order is the contract.
-          if (shard != nullptr) {
-            scratch.rng = keyed_stream(cfg_.seed, now_, kStreamRoute,
-                                       static_cast<std::uint64_t>(vidx));
-          }
-          RoutingContext ctx{*this,      r,    p, v, pkt, flit,
-                             shard != nullptr ? scratch.rng : rng_};
+          // Keyed mode keys the decision's stream on the input VC index.
+          RoutingContext ctx{
+              *this, r,    p, v, pkt, flit,
+              draw_rng(s, kStreamRoute, static_cast<std::uint64_t>(vidx))};
           std::optional<RouteChoice> choice;
           if (hh == kHeadUnknown) {
             // First decision for this (head, router): the fused entry
@@ -615,7 +513,7 @@ void Engine::allocate_router(RouterId r, AllocScratch& scratch,
     scratch.out_first_nom[static_cast<size_t>(op)] = -1;
     const Nomination& nom = scratch.noms[static_cast<size_t>(idx)];
     send_flit(r, nom.in_port, nom.in_vc, nom.out_port, nom.out_vc,
-              nom.fresh ? &nom.choice : nullptr, shard);
+              nom.fresh ? &nom.choice : nullptr, s);
     const int next_in = nom.in_port + 1;
     out_rr_[rbase + static_cast<size_t>(op)] =
         static_cast<std::uint16_t>(next_in == ports_ ? 0 : next_in);
@@ -663,7 +561,7 @@ void Engine::apply_route_state(Packet& pkt, RouterId r,
 
 void Engine::send_flit(RouterId r, PortId in_port, VcId in_vc_id,
                        PortId out_port, VcId out_vc_id,
-                       const RouteChoice* fresh_choice, Shard* shard) {
+                       const RouteChoice* fresh_choice, Shard& s) {
   const std::size_t in_vidx = vc_index(r, in_port, in_vc_id);
   InputVc& ivc = in_vcs_[in_vidx];
   const Flit flit = ivc.fifo.front();
@@ -680,23 +578,19 @@ void Engine::send_flit(RouterId r, PortId in_port, VcId in_vc_id,
   }
 
   // Return the freed space upstream. Injection-buffer space is visible to
-  // the co-located source immediately (no wire to cross). In sharded mode
-  // a credit whose upstream router lives in this very shard goes straight
-  // into the shard's own wheel; only cross-shard credits (global links)
-  // ride the outbox to the serial flush.
+  // the co-located source immediately (no wire to cross). A credit whose
+  // upstream router lives in this very shard goes straight into the
+  // shard's own wheel; only cross-shard credits (global links between
+  // keyed-mode shards) ride the outbox to the serial flush.
   const PortClass in_cls = pclass(in_port);
   if (in_cls != PortClass::kTerminal) {
     const auto up = endpoints_[port_index(r, in_port)];
     const CreditEvent cev{up.router, up.port, in_vc_id, flit.size_phits};
     const Cycle at = now_ + link_latency(in_cls);
-    if (shard != nullptr) {
-      if (up.router >= shard->first_router && up.router < shard->end_router) {
-        shard->credit_ring.push(ring_slot(at), cev);
-      } else {
-        shard->outbox_credits.push_back({at, cev});
-      }
+    if (up.router >= s.first_router && up.router < s.end_router) {
+      s.credit_ring.push(ring_slot(at), cev);
     } else {
-      schedule_credit(at, cev);
+      s.outbox_credits.push_back({at, cev});
     }
   }
 
@@ -704,15 +598,9 @@ void Engine::send_flit(RouterId r, PortId in_port, VcId in_vc_id,
     Packet& pkt = pool_[flit.packet];
     apply_route_state(pkt, r, *fresh_choice);
     routing_.on_hop(*this, pkt, *fresh_choice, r);
-    if (on_hop_) {
-      // External hop hooks may touch arbitrary user state; replay them in
-      // deterministic ascending-shard order at the flush.
-      if (shard != nullptr) {
-        shard->hops.push_back({flit.packet, *fresh_choice, r});
-      } else {
-        on_hop_(pkt, *fresh_choice, r);
-      }
-    }
+    // External hop hooks may touch arbitrary user state; replay them in
+    // deterministic ascending-shard order at the flush.
+    if (on_hop_) s.hops.push_back({flit.packet, *fresh_choice, r});
   }
 
   // No flit may ever depart on a dead (or unwired) port: the routing
@@ -723,8 +611,7 @@ void Engine::send_flit(RouterId r, PortId in_port, VcId in_vc_id,
   const PortClass out_cls = pclass(out_port);
   out_busy_until_[port_index(r, out_port)] =
       now_ + static_cast<Cycle>(flit.size_phits);
-  (shard != nullptr ? shard->phits_sent
-                    : phits_sent_)[static_cast<int>(out_cls)] +=
+  s.phits_sent[static_cast<int>(out_cls)] +=
       static_cast<std::uint64_t>(flit.size_phits);
 
   // Input-VC binding for multi-flit packets (wormhole).
@@ -737,21 +624,13 @@ void Engine::send_flit(RouterId r, PortId in_port, VcId in_vc_id,
     ivc.bound_out_vc = InputVc::kInvalid16;
   }
 
+  s.progressed = true;
   if (out_cls == PortClass::kTerminal) {
     if (flit.tail) {
+      // Ejection happens at the owning router: deliveries are always
+      // same-shard, straight into the shard's own wheel.
       const Cycle at = now_ + static_cast<Cycle>(flit.size_phits);
-      if (shard != nullptr) {
-        // Ejection happens at the owning router: deliveries are always
-        // same-shard, straight into the shard's own wheel.
-        shard->delivery_ring.push(ring_slot(at), flit.packet);
-      } else {
-        schedule_delivery(at, flit.packet);
-      }
-    }
-    if (shard != nullptr) {
-      shard->progressed = true;
-    } else {
-      last_progress_ = now_;
+      s.delivery_ring.push(ring_slot(at), flit.packet);
     }
     return;
   }
@@ -772,219 +651,18 @@ void Engine::send_flit(RouterId r, PortId in_port, VcId in_vc_id,
   const Cycle at =
       now_ + static_cast<Cycle>(flit.size_phits + link_latency(out_cls));
   const FlitEvent fev{down.router, down.port, out_vc_id, flit};
-  if (shard != nullptr) {
-    // Local-link flits stay inside the group (= the shard) and go into
-    // the shard's own wheel; only global-link flits cross the outbox.
-    if (down.router >= shard->first_router &&
-        down.router < shard->end_router) {
-      shard->flit_ring.push(ring_slot(at), fev);
-    } else {
-      shard->outbox_flits.push_back({at, fev});
-    }
-    shard->progressed = true;
+  // Local-link flits stay inside the group (so inside the shard) and go
+  // into the shard's own wheel; only global-link flits between keyed-mode
+  // shards cross the outbox.
+  if (down.router >= s.first_router && down.router < s.end_router) {
+    s.flit_ring.push(ring_slot(at), fev);
   } else {
-    schedule_flit(at, fev);
-    last_progress_ = now_;
+    s.outbox_flits.push_back({at, fev});
   }
-}
-
-// Terminals draw generation randomness in strict ascending order — that
-// per-terminal draw order is part of the seed contract, so the Bernoulli
-// loop still visits every terminal. The pending bitmap only gates the
-// injection attempt (source-queue, link and buffer checks), which is the
-// expensive part at low load.
-void Engine::inject_terminals() {
-  const bool draws = injection_.mode == InjectionProcess::Mode::kBernoulli &&
-                     (gen_probability_ > 0.0 || has_terminal_loads_);
-  if (draws && onoff_) {
-    // Markov ON/OFF sources: step each terminal's chain (one draw), then
-    // let ON terminals generate at the duty-compensated rate (a second
-    // draw). Same ascending-terminal order as the plain Bernoulli loop.
-    const int num_terms = topo_.num_terminals();
-    for (NodeId t = 0; t < num_terms; ++t) {
-      if (has_dead_terminals_ && terminal_dead_[static_cast<size_t>(t)]) {
-        continue;
-      }
-      std::uint8_t& on = onoff_state_[static_cast<size_t>(t)];
-      if (on != 0) {
-        if (rng_.bernoulli(injection_.onoff_off)) on = 0;
-      } else if (rng_.bernoulli(injection_.onoff_on)) {
-        on = 1;  // transitions apply immediately: an ON entry can generate
-      }
-      if (on != 0 && rng_.bernoulli(gen_probability_on_)) {
-        TerminalState& ts = terminals_[static_cast<size_t>(t)];
-        const bool accepted =
-            ts.pending_created.size() <
-            static_cast<std::size_t>(cfg_.source_queue_cap);
-        if (accepted) {
-          ts.pending_created.push_back(now_);
-          mark_terminal_pending(t);
-        }
-        if (on_generated_) on_generated_(now_, accepted);
-      }
-      if (terminal_pending(t)) try_inject(t);
-    }
-    return;
-  }
-  if (draws) {
-    const int num_terms = topo_.num_terminals();
-    for (NodeId t = 0; t < num_terms; ++t) {
-      // Terminals on dead routers generate nothing (and draw nothing, so
-      // the fault set fully determines the degraded-network RNG stream);
-      // the flag is never set on healthy topologies.
-      if (has_dead_terminals_ && terminal_dead_[static_cast<size_t>(t)]) {
-        continue;
-      }
-      // Per-terminal loads (multi-job workloads) swap the probability but
-      // keep one draw per live terminal, so the stream stays ascending.
-      if (rng_.bernoulli(has_terminal_loads_
-                             ? terminal_gen_prob_[static_cast<size_t>(t)]
-                             : gen_probability_)) {
-        TerminalState& ts = terminals_[static_cast<size_t>(t)];
-        const bool accepted =
-            ts.pending_created.size() <
-            static_cast<std::size_t>(cfg_.source_queue_cap);
-        if (accepted) {
-          ts.pending_created.push_back(now_);
-          mark_terminal_pending(t);
-        }
-        if (on_generated_) on_generated_(now_, accepted);
-      }
-      if (terminal_pending(t)) try_inject(t);
-    }
-    return;
-  }
-  // No generation randomness this cycle (burst mode, or zero load): only
-  // terminals with queued work need a look, still in ascending order.
-  const std::size_t words = pending_terminals_.size();
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t bits = pending_terminals_[w];
-    while (bits != 0) {
-      const int b = std::countr_zero(bits);
-      bits &= bits - 1;
-      try_inject(static_cast<NodeId>(w * 64 + static_cast<size_t>(b)));
-    }
-  }
-}
-
-void Engine::try_inject(NodeId t) {
-  TerminalState& ts = terminals_[static_cast<size_t>(t)];
-  if (!terminal_has_work(t, ts)) {
-    clear_terminal_pending(t);
-    return;
-  }
-  if (ts.link_busy_until > now_) return;
-
-  // The source's router and port are pure arithmetic on the terminal id;
-  // recomputing them here beats an 8-byte-per-terminal cache at scale.
-  const RouterId r = topo_.router_of_terminal(t);
-  const PortId port = topo_.terminal_port(t);
-  const InputVc& ivc = in_vcs_[vc_index(r, port, 0)];
-  if (ivc.occupancy_phits + ts.inflight_phits + cfg_.packet_phits >
-      injection_buf_phits_) {
-    return;
-  }
-  materialize(t, ts);
-  if (!terminal_has_work(t, ts)) {
-    clear_terminal_pending(t);
-  }
-}
-
-void Engine::materialize(NodeId t, TerminalState& ts) {
-  Cycle created = 0;
-  NodeId dst;
-  std::uint8_t flags = 0;
-  if (has_forced_dst_ && !forced_dst_[static_cast<size_t>(t)].empty()) {
-    // Forced packets (scripted injections, workload replies, message
-    // bodies, trace rows) carry their own creation time and flags and go
-    // ahead of the Bernoulli backlog.
-    const auto ti = static_cast<size_t>(t);
-    created = forced_created_[ti].front();
-    forced_created_[ti].pop_front();
-    dst = forced_dst_[ti].front();
-    forced_dst_[ti].pop_front();
-    flags = forced_flags_[ti].front();
-    forced_flags_[ti].pop_front();
-  } else {
-    if (!ts.pending_created.empty()) {
-      created = ts.pending_created.front();
-      ts.pending_created.pop_front();
-    } else {
-      assert(ts.burst_remaining > 0);
-      --ts.burst_remaining;
-    }
-    dst = pattern_->dest(t, rng_);
-    if (workload_ != nullptr) {
-      // Multi-packet messages: the body packets follow as forced entries
-      // behind this head (same destination and creation time; they never
-      // trigger replies of their own).
-      const int extra = workload_->message_packets(t, rng_) - 1;
-      for (int k = 0; k < extra; ++k) {
-        const bool accepted =
-            push_forced(t, dst, created, kPacketFlagNoReply);
-        if (on_generated_) on_generated_(now_, accepted);
-      }
-    }
-  }
-  assert(dst != t && dst >= 0 && dst < topo_.num_terminals());
-
-  // A packet addressed to a terminal on a dead router can never be
-  // delivered; it is dropped at the source (counted, so accepted-load
-  // analysis can separate fault losses from congestion).
-  if (has_dead_terminals_ && terminal_dead_[static_cast<size_t>(dst)]) {
-    ++dead_dst_drops_;
-    return;
-  }
-
-  const PacketId id = pool_.alloc();
-  Packet& pkt = pool_[id];
-  pkt.src = t;
-  pkt.dst = dst;
-  pkt.size_phits = cfg_.packet_phits;
-  pkt.num_flits = static_cast<std::int16_t>(flits_per_packet_);
-  pkt.flit_phits = static_cast<std::int16_t>(flit_phits_);
-  pkt.created = created;
-  pkt.injected = now_;
-  pkt.flags = flags;
-  pkt.rs.dst_router = topo_.router_of_terminal(dst);
-  pkt.rs.dst_group = topo_.group_of_terminal(dst);
-  pkt.rs.src_group = topo_.group_of_terminal(t);
-
-  const RouterId r = topo_.router_of_terminal(t);
-  const PortId port = topo_.terminal_port(t);
-  for (int k = 0; k < flits_per_packet_; ++k) {
-    Flit flit;
-    flit.packet = id;
-    flit.index = static_cast<std::int16_t>(k);
-    flit.size_phits = static_cast<std::int16_t>(flit_phits_);
-    flit.head = (k == 0);
-    flit.tail = (k == flits_per_packet_ - 1);
-    schedule_flit(now_ + static_cast<Cycle>((k + 1) * flit_phits_),
-                  {r, port, 0, flit});
-  }
-  ts.inflight_phits += cfg_.packet_phits;
-  ts.link_busy_until = now_ + static_cast<Cycle>(cfg_.packet_phits);
-  last_progress_ = now_;
 }
 
 void Engine::inject_for_test(NodeId src, NodeId dst, Cycle created) {
   push_forced(src, dst, created, 0);
-  if (sharded_) mark_terminal_pending(src);  // serial caller: safe to mark
-}
-
-bool Engine::step() {
-  if (deadlock_) return false;
-  if (sharded_) return step_sharded();
-  process_arrivals();
-  routing_.per_cycle(*this);
-  if (workload_trace_) feed_trace();
-  allocate_active_routers();
-  inject_terminals();
-  if (pool_.in_use() > 0 && now_ - last_progress_ > cfg_.watchdog_cycles) {
-    deadlock_ = true;
-  }
-  ++now_;
-  return !deadlock_;
 }
 
 void Engine::run_until(Cycle end) {
@@ -1005,7 +683,6 @@ std::size_t Engine::footprint_bytes() const {
   total += vec(endpoints_) + vec(out_busy_until_) + vec(in_scan_) +
            vec(out_rr_);
   total += vec(occupied_ports_) + vec(nonempty_vcs_);
-  total += vec(active_routers_) + vec(pending_terminals_);
   total += vec(terminals_) + vec(onoff_state_) + vec(terminal_dead_);
   for (const TerminalState& ts : terminals_) {
     total += ts.pending_created.footprint_bytes();
@@ -1016,11 +693,8 @@ std::size_t Engine::footprint_bytes() const {
   for (const auto& q : forced_flags_) total += q.footprint_bytes();
   total += vec(terminal_gen_prob_) + vec(terminal_gen_threshold_);
   total += pool_.capacity() * sizeof(Packet);
-  total += flit_ring_.footprint_bytes() + credit_ring_.footprint_bytes() +
-           delivery_ring_.footprint_bytes();
   // Shard-owned allocations: the per-shard timing wheels, outboxes and
-  // staging vectors are where the sharded engine's event memory actually
-  // lives (the global wheels above stay empty in sharded mode).
+  // staging vectors are where the engine's event memory lives.
   total += vec(shards_);
   for (const Shard& s : shards_) {
     total += s.flit_ring.footprint_bytes() + s.credit_ring.footprint_bytes() +

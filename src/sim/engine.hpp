@@ -5,19 +5,26 @@
 // link-level backpressure, phit-granular serialization and configurable
 // link latencies (Section IV).
 //
-// Per cycle:
-//   1. credit arrivals   (returned one link latency after downstream drain)
-//   2. flit arrivals     (full flit lands in the downstream input VC)
-//   3. switch allocation (input nomination + output round-robin grant)
-//   4. injection         (terminals materialize pending packets)
+// One cycle stepper, two RNG regimes. Routers are partitioned into shards
+// that each own their routers, terminals and timing wheels; a cycle runs
+//   1. arrivals          (per shard: credits, then flits)
+//   2. deliveries        (ascending shard order) + per-cycle routing work
+//   3. allocation        (per shard: switch allocation over its routers,
+//      + injection        then its terminals' generation and injection)
+//   4. flush             (ascending shard order: cross-shard events,
+//                         hooks, packet materialization, counters)
+// Exact mode (the default) is the one-shard configuration: a single shard
+// spans every router and every draw comes from one shared RNG cursor in
+// ascending order. Keyed mode (EngineConfig::sharded) has one shard per
+// group stepped by a worker team, and every draw comes from a
+// counter-based stream keyed by (seed, cycle, entity).
 //
 // Hot-path layout: all per-router and per-terminal state lives in flat
 // engine-level arrays (no per-router heap objects), every input VC's flit
 // FIFO is a fixed-capacity ring carved from one contiguous arena, and the
-// timing wheels recycle slab chunks across wraps. Two bitmap worklists —
-// active routers and terminals with pending work — keep step() away from
-// idle state entirely. All of it is iterated in ascending id order, so
-// results are bit-identical to the exhaustive scans they replaced.
+// timing wheels recycle slab chunks across wraps. Per-router occupied-port
+// bitmasks and per-port nonempty-VC masks keep the allocation scan away
+// from empty buffers, always in ascending id order.
 #pragma once
 
 #include <algorithm>
@@ -67,22 +74,25 @@ struct EngineConfig {
   /// source queue, is the bottleneck whenever the cap binds).
   int source_queue_cap = 256;
 
-  /// Opt-in group-sharded parallel stepper (DF_ENGINE=sharded): routers
-  /// are partitioned by group across a worker team with per-cycle
-  /// barriers, and every RNG draw comes from a counter-based stream keyed
-  /// by (seed, cycle, entity) — results are bit-identical for ANY worker
-  /// count, but NOT bit-compatible with the default exact mode (whose
-  /// single-stream ascending draw order is its own contract). VCT only.
+  /// Selects the RNG regime of the one cycle stepper (DF_ENGINE=sharded).
+  /// false (exact): one shard spans every router and every draw comes
+  /// from the single shared RNG cursor in ascending order — that order is
+  /// the exact mode's own contract. true (keyed): one shard per group,
+  /// stepped by a worker team with per-cycle barriers, and every draw
+  /// comes from a counter-based stream keyed by (seed, cycle, entity) —
+  /// bit-identical for ANY worker count, but NOT bit-compatible with
+  /// exact mode. Keyed mode is VCT only (wormhole VC ownership would
+  /// cross shard boundaries).
   bool sharded = false;
-  /// Worker threads for the sharded stepper (capped at the group count);
+  /// Worker threads for keyed mode's shards (capped at the group count);
   /// > 0 is taken as given. 0 resolves via runtime::resolve_jobs under
   /// the one-budget nesting rule: an engine built on a parallel grid's
   /// worker gets that worker's share (--jobs / DF_JOBS divided by the
   /// grid's workers), one built anywhere else the whole budget.
   int shard_jobs = 0;
 
-  /// Per-phase cycle profiler for the sharded stepper (DF_PROFILE=1 is
-  /// the env equivalent). Off by default: the hot loop then contains no
+  /// Per-phase cycle profiler, in either RNG regime (DF_PROFILE=1 is the
+  /// env equivalent). Off by default: the hot loop then contains no
   /// clock reads at all — the flag is checked once per step and the
   /// timed path is a separate template instantiation.
   bool profile = false;
@@ -150,19 +160,19 @@ class Engine {
   std::uint64_t phits_sent(PortClass cls) const {
     return phits_sent_[static_cast<int>(cls)];
   }
-  /// True when the group-sharded parallel stepper is active.
-  bool sharded() const { return sharded_; }
+  /// True under the keyed RNG regime (one shard per group).
+  bool sharded() const { return cfg_.sharded; }
 
-  /// Per-phase wall-clock totals of the sharded stepper, accumulated only
-  /// while profiling (EngineConfig::profile / DF_PROFILE=1). The four
-  /// phase counters tile each step exactly — timestamps are taken at the
-  /// phase boundaries, so arrive + deliver + alloc + flush == total by
-  /// construction. All-zero when profiling is off or the engine is exact.
+  /// Per-phase wall-clock totals of the stepper, accumulated only while
+  /// profiling (EngineConfig::profile / DF_PROFILE=1). The four phase
+  /// counters tile each step exactly — timestamps are taken at the phase
+  /// boundaries, so arrive + deliver + alloc + flush == total by
+  /// construction. All-zero when profiling is off.
   struct PhaseProfile {
     std::uint64_t steps = 0;
-    std::uint64_t arrive_ns = 0;   ///< parallel: per-shard ring drains
+    std::uint64_t arrive_ns = 0;   ///< per shard: ring drains
     std::uint64_t deliver_ns = 0;  ///< serial: deliveries + per_cycle
-    std::uint64_t alloc_ns = 0;    ///< parallel: allocation + injection
+    std::uint64_t alloc_ns = 0;    ///< per shard: allocation + injection
     std::uint64_t flush_ns = 0;    ///< serial: outbox replay + injections
     std::uint64_t total_ns = 0;
     /// Amdahl estimate: the share of step time spent in the serial
@@ -176,7 +186,7 @@ class Engine {
   const PhaseProfile& phase_profile() const { return profile_data_; }
   bool profiling() const { return profile_; }
   /// Resident bytes of the engine's own state arrays (arenas, VC state,
-  /// worklists, terminals, timing wheels, packet pool). Used by the scale
+  /// scan masks, terminals, timing wheels, packet pool). Used by the scale
   /// benches to report bytes-per-terminal; excludes malloc overhead.
   std::size_t footprint_bytes() const;
 
@@ -319,7 +329,11 @@ class Engine {
   /// queues' (created, dst, flags) triples, per-terminal offered loads,
   /// and the workload's trace cursor; v3 streams are rejected with a
   /// pointed message.
-  static constexpr std::uint32_t kCheckpointVersion = 4;
+  /// v5: the wheels are always a shard count followed by one wheel triple
+  /// per shard — exact mode writes a count of 1, since its single stepper
+  /// shard replaced the global wheels; v4 streams are rejected with a
+  /// pointed message.
+  static constexpr std::uint32_t kCheckpointVersion = 5;
 
   /// Serialize the complete dynamic engine state behind a versioned,
   /// shape-checked header: every input-VC FIFO (flit arena slices), all
@@ -337,10 +351,13 @@ class Engine {
   /// Inverse of save_checkpoint, into a FRESHLY-CONSTRUCTED engine built
   /// from the same configuration and topology. Throws std::runtime_error
   /// with a pointed message on a truncated, corrupt, version-mismatched
-  /// or wrong-shape checkpoint, and std::logic_error when this engine has
-  /// already stepped. After a successful restore, the cycle-by-cycle
-  /// behavior is bit-identical to the engine the checkpoint was saved
-  /// from (exact-mode determinism contract).
+  /// or wrong-shape checkpoint — every restored index (event routers,
+  /// ports and VCs, packet ids, forced destinations, VC bindings, RR
+  /// pointers, queue depths) is range-checked before it is used — and
+  /// std::logic_error when this engine has already stepped. After a
+  /// successful restore, the cycle-by-cycle behavior is bit-identical to
+  /// the engine the checkpoint was saved from (exact-mode determinism
+  /// contract).
   void restore(std::istream& is);
 
   // --- test hooks -------------------------------------------------------
@@ -409,25 +426,6 @@ class Engine {
     return out_vcs_[vc_index(r, port, vc)];
   }
 
-  // --- worklists --------------------------------------------------------
-  void mark_router_active(RouterId r) {
-    active_routers_[static_cast<std::size_t>(r) >> 6] |=
-        1ULL << (static_cast<std::size_t>(r) & 63);
-  }
-  void mark_terminal_pending(NodeId t) {
-    pending_terminals_[static_cast<std::size_t>(t) >> 6] |=
-        1ULL << (static_cast<std::size_t>(t) & 63);
-  }
-  bool terminal_pending(NodeId t) const {
-    return (pending_terminals_[static_cast<std::size_t>(t) >> 6] >>
-            (static_cast<std::size_t>(t) & 63)) &
-           1ULL;
-  }
-  void clear_terminal_pending(NodeId t) {
-    pending_terminals_[static_cast<std::size_t>(t) >> 6] &=
-        ~(1ULL << (static_cast<std::size_t>(t) & 63));
-  }
-
   /// output_usable() specialized for a head flit (every flit in flight is
   /// exactly flit_phits_ phits), so pure retries skip the arena read.
   bool head_usable(RouterId r, PortId port, VcId vc) const {
@@ -494,10 +492,9 @@ class Engine {
     gen_probability_on_ = std::min(1.0, gen_probability_ / duty);
   }
 
-  // Scratch shared by one allocation scan: nominations, the per-output
-  // first-nominee slots, and (sharded mode) the current decision's keyed
-  // RNG stream. One instance per shard — concurrent allocate_router calls
-  // must never share it.
+  // Per-shard scratch: one allocation scan's nominations and per-output
+  // first-nominee slots, plus (keyed mode) the current draw's keyed RNG
+  // stream. Concurrent shards must never share it.
   struct Nomination {
     PortId in_port;
     VcId in_vc;
@@ -510,21 +507,22 @@ class Engine {
     std::vector<Nomination> noms;
     std::vector<std::int16_t> out_first_nom;  // per out port -> index|-1
     std::vector<PortId> touched_outs;
-    Rng rng;  // per-decision keyed stream (sharded mode only)
+    Rng rng;  // the current draw's keyed stream (keyed mode only)
   };
   struct Shard;  // defined below
 
-  void process_arrivals();
-  void allocate_active_routers();
-  void allocate_router(RouterId r, AllocScratch& scratch, Shard* shard);
+  void allocate_router(RouterId r, Shard& s);
   void send_flit(RouterId r, PortId in_port, VcId in_vc_id, PortId out_port,
-                 VcId out_vc_id, const RouteChoice* fresh_choice,
-                 Shard* shard);
+                 VcId out_vc_id, const RouteChoice* fresh_choice, Shard& s);
   void apply_route_state(Packet& pkt, RouterId r, const RouteChoice& choice);
-  void inject_terminals();
-  void try_inject(NodeId terminal);
-  void materialize(NodeId terminal, TerminalState& ts);
   void deliver(PacketId id);
+
+  /// The one exact-vs-keyed fork: the stream a draw site draws from.
+  /// Exact mode returns the shared cursor rng_, whose ascending draw order
+  /// is its contract. Keyed mode derives the counter-based stream for
+  /// (seed, cycle, domain, entity) into the shard's scratch slot, so any
+  /// worker evaluating the draw constructs the identical stream.
+  Rng& draw_rng(Shard& s, std::uint64_t domain, std::uint64_t entity);
 
   // --- workload support -------------------------------------------------
   /// Queue a fully-specified packet (destination, creation time, flags)
@@ -540,32 +538,28 @@ class Engine {
     return !ts.pending_created.empty() || ts.burst_remaining != 0 ||
            forced_pending(t);
   }
-  /// Replay trace rows with cycle <= now into the forced queues (serial
-  /// point of both steppers; no-op unless a trace workload is attached).
+  /// Replay trace rows with cycle <= now into the forced queues (a serial
+  /// point of the step; no-op unless a trace workload is attached).
   void feed_trace();
-  /// Request-reply causality: called from deliver() (serial in both
-  /// modes) to queue a reply at the destination terminal.
+  /// Request-reply causality: called from deliver() (a serial point of
+  /// the step) to queue a reply at the destination terminal.
   void maybe_reply(const Packet& pkt);
 
-  // --- sharded stepper (engine_sharded.cpp) -----------------------------
+  // --- the cycle stepper (engine_step.cpp) ------------------------------
   void init_shards();
-  bool step_sharded();
   template <bool kProfile>
-  bool step_sharded_impl();
+  bool step_impl();
   void run_shards(void (Engine::*phase)(Shard&));
   void shard_worker(int worker);
   void arrive_shard(Shard& s);
   void allocate_and_inject_shard(Shard& s);
-  /// `rng` is null in the no-generation-draw path: the keyed injection
-  /// stream is then constructed lazily at the destination draw (the only
-  /// draw that path can make), so terminals that bail on the early checks
-  /// never pay the stream derivation.
+  /// `rng` is null when no generation draw preceded this attempt: the
+  /// injection stream is then picked at the destination draw (the only
+  /// draw that path can make), so in keyed mode terminals that bail on
+  /// the early checks never pay the stream derivation.
   void try_inject_shard(NodeId t, TerminalState& ts, Rng* rng, Shard& s);
   void flush_shard(Shard& s);
 
-  void schedule_flit(Cycle at, FlitEvent ev);
-  void schedule_credit(Cycle at, CreditEvent ev);
-  void schedule_delivery(Cycle at, PacketId id);
   std::size_t ring_slot(Cycle at) const { return at & (ring_size_ - 1); }
 
   int link_latency(PortClass cls) const {
@@ -646,11 +640,6 @@ class Engine {
   int occ_words_ = 1;
   std::vector<std::int32_t> nonempty_vcs_;     // [router]
 
-  // Worklist bitmaps: a router is active while any input VC holds flits; a
-  // terminal is pending while its source queue or burst budget is nonzero.
-  std::vector<std::uint64_t> active_routers_;
-  std::vector<std::uint64_t> pending_terminals_;
-
   std::vector<TerminalState> terminals_;
   /// Forced-injection queues: fully-specified packets (destination,
   /// creation time, flag bits) queued ahead of fresh pattern draws —
@@ -667,8 +656,9 @@ class Engine {
   Workload* workload_ = nullptr;
   bool workload_trace_ = false;
   /// Per-terminal Bernoulli generation (multi-job workloads): absolute
-  /// probabilities for the exact stepper, 2^64-scaled thresholds for the
-  /// sharded counter-based coin. Empty (flag false) on the uniform path.
+  /// probabilities for the exact coin (rng_.bernoulli), 2^64-scaled
+  /// thresholds for the keyed counter-based coin. Empty (flag false) on
+  /// the uniform path.
   std::vector<double> terminal_gen_prob_;
   std::vector<std::uint64_t> terminal_gen_threshold_;
   bool has_terminal_loads_ = false;
@@ -693,9 +683,6 @@ class Engine {
   bool deadlock_ = false;
 
   std::size_t ring_size_ = 0;
-  SlabEventRing<FlitEvent> flit_ring_;
-  SlabEventRing<CreditEvent> credit_ring_;
-  SlabEventRing<PacketId> delivery_ring_;
 
   std::uint64_t delivered_packets_ = 0;
   std::uint64_t delivered_phits_ = 0;
@@ -705,19 +692,17 @@ class Engine {
   GenerationHook on_generated_;
   HopHook on_hop_;
 
-  // Exact-mode allocation scratch (avoids per-cycle allocations); the
-  // sharded stepper uses one AllocScratch per shard instead.
-  AllocScratch scratch_;
-
-  // --- group-sharded parallel stepper -----------------------------------
-  // One shard per group: shard s owns routers [s*a, (s+1)*a) and their
-  // terminals, so shard-ascending iteration IS router-ascending
-  // iteration. Each shard owns its OWN timing wheels: during the parallel
+  // --- shards -----------------------------------------------------------
+  // Shard s owns routers [s*a, (s+1)*a) and their terminals, where a is
+  // the routers of one group (keyed mode) or of the whole network (exact
+  // mode, one shard), so shard-ascending iteration IS router-ascending
+  // iteration. Each shard owns its OWN timing wheels: during the per-shard
   // phases a shard drains arrivals from / schedules same-shard futures
   // into its own rings directly, and only cross-shard events (global-link
   // flits and their credits) are staged in a per-source-shard outbox that
   // the serial flush replays in ascending shard order. The serial work
-  // per cycle is therefore O(cross-shard events), not O(all events).
+  // per cycle is therefore O(cross-shard events), not O(all events); with
+  // one shard no event crosses an outbox at all.
   struct StagedFlit {
     Cycle at;
     FlitEvent ev;
@@ -767,15 +752,14 @@ class Engine {
     bool deadlock = false;
   };
   std::vector<Shard> shards_;
-  bool sharded_ = false;
-  /// Persistent team for the parallel phases; null when the stepper runs
-  /// on one worker. Sized by EngineConfig::shard_jobs under the nesting
-  /// rule, capped at the shard count.
+  /// Persistent team for the per-shard phases; null when the stepper runs
+  /// on one worker (always in exact mode). Sized by EngineConfig::shard_jobs
+  /// under the nesting rule, capped at the shard count.
   std::unique_ptr<runtime::WorkerTeam> shard_team_;
   /// Phase dispatched to the team; set by run_shards before releasing
   /// the barrier, so the per-phase callback stays one pointer wide.
   void (Engine::*shard_phase_)(Shard&) = nullptr;
-  /// shard_of(router): routers_per_group is fixed per topology.
+  /// shard_of(router): a fixed router count per shard.
   int routers_per_shard_ = 1;
   std::size_t shard_of(RouterId r) const {
     return static_cast<std::size_t>(r / routers_per_shard_);
@@ -786,8 +770,14 @@ class Engine {
   /// injection and message-size draws on the terminal id.
   static constexpr std::uint64_t kStreamRoute = 1;
   static constexpr std::uint64_t kStreamInject = 2;
-  static constexpr std::uint64_t kStreamSize = 3;
 };
+
+inline Rng& Engine::draw_rng(Shard& s, std::uint64_t domain,
+                             std::uint64_t entity) {
+  if (!cfg_.sharded) return rng_;
+  s.scratch.rng = keyed_stream(cfg_.seed, now_, domain, entity);
+  return s.scratch.rng;
+}
 
 /// Process-wide sum of every profiled engine's PhaseProfile, folded in at
 /// engine destruction. BenchReport reads this at exit to attach the

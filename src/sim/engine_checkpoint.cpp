@@ -5,21 +5,28 @@
 // and wormhole bindings, switch round-robin pointers, the packet pool
 // (slot contents and free-list order — future alloc() ids must replay),
 // per-terminal source queues / burst budgets / ON/OFF chains, the timing
-// wheels' in-flight events (one wheel triple per shard in sharded mode,
-// the global triple in exact mode), delivery counters, the routing
-// mechanism's cross-cycle state, and (v4) the workload layer: per-packet
-// flag bytes, the forced-injection (created, dst, flags) queues,
-// per-terminal offered loads and the trace replay cursor.
+// wheels' in-flight events (v5: a shard count, then one wheel triple per
+// shard — one shard in exact mode, one per group in keyed mode), delivery
+// counters, the routing mechanism's cross-cycle state, and (v4) the
+// workload layer: per-packet flag bytes, the forced-injection
+// (created, dst, flags) queues, per-terminal offered loads and the trace
+// replay cursor.
 //
 // What is deliberately NOT saved, because rebuilding it is decision- and
 // RNG-neutral: the retry-suppression caches (vc_sleep_until_, waiter
 // lists, head_hop_ verdicts) — a woken head redoes a usability check that
 // fails identically; pure verdicts are recomputed by pure_minimal_hop,
 // which is RNG-free by contract — the per-packet minimal-port memos, and
-// the lazily-cleared worklist bits (recomputed as their minimal sets,
-// which the scan loops treat identically).
+// the occupied-port and nonempty-VC counts (recomputed from the FIFOs).
+//
+// The stream is untrusted: restore range-checks every index it will later
+// use to address engine state and throws a pointed std::runtime_error
+// ("checkpoint corrupt: ...") instead of indexing out of bounds.
+#include <bit>
 #include <istream>
 #include <ostream>
+#include <stdexcept>
+#include <string>
 
 #include "common/serialize.hpp"
 #include "sim/engine.hpp"
@@ -28,6 +35,10 @@
 namespace dfsim {
 
 namespace {
+
+[[noreturn]] void corrupt(const std::string& what) {
+  throw std::runtime_error("checkpoint corrupt: " + what);
+}
 
 constexpr char kMagic[8] = {'D', 'F', 'E', 'N', 'G', 'C', 'K', '\n'};
 constexpr std::uint64_t kEndSentinel = 0xdf51aced0c0ffee1ULL;
@@ -126,10 +137,10 @@ void Engine::save_checkpoint(std::ostream& os) const {
   ser::write_u64(os, ring_size_);
   ser::write_u8(os, static_cast<std::uint8_t>(cfg_.flow));
   ser::write_u8(os, onoff_ ? 1 : 0);
-  // v2: engine mode. The two steppers draw from different RNG streams, so
+  // v2: engine mode. The two RNG regimes draw different streams, so
   // resuming a sharded run under exact (or vice versa) would silently fork
   // the trajectory.
-  ser::write_u8(os, sharded_ ? 1 : 0);
+  ser::write_u8(os, cfg_.sharded ? 1 : 0);
   ser::write_string(os, routing_.name());
 
   // --- clock, RNG, counters ---------------------------------------------
@@ -221,13 +232,13 @@ void Engine::save_checkpoint(std::ostream& os) const {
   ser::write_u64(os, workload_ != nullptr ? workload_->cursor() : 0);
 
   // --- timing wheels -----------------------------------------------------
-  // v3: the sharded engine keeps one wheel triple per shard (the global
-  // wheels stay empty), serialized shard-major. The event encodings are
-  // identical across modes; only the grouping differs. Exact checkpoints
-  // keep the v2 single-wheel layout under the bumped version.
-  const auto write_wheels = [&](const SlabEventRing<FlitEvent>& fr,
-                                const SlabEventRing<CreditEvent>& cr,
-                                const SlabEventRing<PacketId>& dr) {
+  // v5: a shard count, then one wheel triple per shard, shard-major (exact
+  // mode writes a count of 1).
+  ser::write_u64(os, shards_.size());
+  for (const Shard& s : shards_) {
+    const SlabEventRing<FlitEvent>& fr = s.flit_ring;
+    const SlabEventRing<CreditEvent>& cr = s.credit_ring;
+    const SlabEventRing<PacketId>& dr = s.delivery_ring;
     for (std::size_t slot = 0; slot < ring_size_; ++slot) {
       ser::write_u32(os, static_cast<std::uint32_t>(fr.slot_size(slot)));
       fr.visit(slot, [&](const FlitEvent& ev) {
@@ -246,14 +257,6 @@ void Engine::save_checkpoint(std::ostream& os) const {
       ser::write_u32(os, static_cast<std::uint32_t>(dr.slot_size(slot)));
       dr.visit(slot, [&](const PacketId id) { ser::write_i32(os, id); });
     }
-  };
-  if (sharded_) {
-    ser::write_u64(os, shards_.size());
-    for (const Shard& s : shards_) {
-      write_wheels(s.flit_ring, s.credit_ring, s.delivery_ring);
-    }
-  } else {
-    write_wheels(flit_ring_, credit_ring_, delivery_ring_);
   }
 
   // --- routing mechanism state ------------------------------------------
@@ -294,6 +297,14 @@ void Engine::restore(std::istream& is) {
         "offered loads and the trace replay cursor; re-run the "
         "checkpointed experiment to produce a v4 checkpoint)");
   }
+  if (version == 4) {
+    throw std::runtime_error(
+        "checkpoint format version 4 is not supported by this build "
+        "(version 5 stores the timing wheels as a shard count followed by "
+        "one wheel triple per shard, and exact-mode runs now write one "
+        "shard where version 4 wrote the global wheels; re-run the "
+        "checkpointed experiment to produce a v5 checkpoint)");
+  }
   if (version != kCheckpointVersion) {
     throw std::runtime_error(
         "checkpoint format version " + std::to_string(version) +
@@ -325,13 +336,13 @@ void Engine::restore(std::istream& is) {
         "configuration");
   }
   const std::uint8_t sharded = ser::read_u8(is, "engine mode");
-  if ((sharded != 0) != sharded_) {
+  if ((sharded != 0) != cfg_.sharded) {
     throw std::runtime_error(
         std::string("checkpoint mismatch: the run was checkpointed under "
                     "the ") +
         (sharded != 0 ? "sharded" : "exact") +
         " engine but this configuration uses the " +
-        (sharded_ ? "sharded" : "exact") +
+        (cfg_.sharded ? "sharded" : "exact") +
         " engine (the two draw different RNG streams; set engine= to "
         "match)");
   }
@@ -362,22 +373,19 @@ void Engine::restore(std::istream& is) {
   const std::uint64_t slot_count = ser::read_u64(is, "pool slot count");
   const std::uint64_t free_count = ser::read_u64(is, "pool free count");
   if (free_count > slot_count) {
-    throw std::runtime_error(
-        "checkpoint corrupt: packet-pool free list larger than the pool");
+    corrupt("packet-pool free list larger than the pool");
   }
   std::vector<PacketId> free_list(static_cast<std::size_t>(free_count));
   for (auto& id : free_list) {
     id = ser::read_i32(is, "pool free id");
     if (id < 0 || static_cast<std::uint64_t>(id) >= slot_count) {
-      throw std::runtime_error(
-          "checkpoint corrupt: packet-pool free id out of range");
+      corrupt("packet-pool free id out of range");
     }
   }
   std::vector<std::uint8_t> live(static_cast<std::size_t>(slot_count), 1);
   for (const PacketId id : free_list) {
     if (live[static_cast<std::size_t>(id)] == 0) {
-      throw std::runtime_error(
-          "checkpoint corrupt: packet-pool free id listed twice");
+      corrupt("packet-pool free id listed twice");
     }
     live[static_cast<std::size_t>(id)] = 0;
   }
@@ -385,37 +393,80 @@ void Engine::restore(std::istream& is) {
   for (std::size_t i = 0; i < live.size(); ++i) {
     if (live[i]) pool_[static_cast<PacketId>(i)] = read_packet(is);
   }
+  // Every packet id read below indexes the pool: it must name a live slot.
+  const auto expect_live = [&](PacketId id, const char* what) {
+    if (id < 0 || static_cast<std::size_t>(id) >= live.size() ||
+        live[static_cast<std::size_t>(id)] == 0) {
+      corrupt(std::string(what) + " names packet " + std::to_string(id) +
+              ", not a live pool slot");
+    }
+  };
+  // (port, vc) must address an existing VC of one router.
+  const auto expect_vc = [&](std::int32_t port, std::int32_t vc,
+                             const char* what) {
+    if (port < 0 || port >= ports_) {
+      corrupt(std::string(what) + " port " + std::to_string(port) +
+              " out of range (routers have " + std::to_string(ports_) +
+              " ports)");
+    }
+    if (vc < 0 || vc >= vc_count(port)) {
+      corrupt(std::string(what) + " VC " + std::to_string(vc) +
+              " out of range (port " + std::to_string(port) + " has " +
+              std::to_string(vc_count(port)) + " VCs)");
+    }
+  };
 
   // --- router state ------------------------------------------------------
   for (RouterId r = 0; r < topo_.num_routers(); ++r) {
     for (PortId p = 0; p < ports_; ++p) {
+      std::uint32_t nonempty_mask = 0;
       for (VcId v = 0; v < vc_count(p); ++v) {
         const std::size_t vidx = vc_index(r, p, v);
         InputVc& ivc = in_vcs_[vidx];
         const std::uint32_t nflits = ser::read_u32(is, "input VC depth");
-        if (static_cast<std::int32_t>(nflits) > ivc.fifo.capacity()) {
-          throw std::runtime_error(
-              "checkpoint corrupt: input VC holds more flits than its "
-              "buffer capacity");
+        if (nflits > static_cast<std::uint32_t>(ivc.fifo.capacity())) {
+          corrupt("input VC holds more flits than its buffer capacity");
         }
         for (std::uint32_t k = 0; k < nflits; ++k) {
-          ivc.fifo.push_back(read_flit(is));
+          const Flit flit = read_flit(is);
+          expect_live(flit.packet, "an input-VC flit");
+          ivc.fifo.push_back(flit);
         }
+        if (nflits > 0) nonempty_mask |= 1u << v;
         ivc.occupancy_phits = ser::read_i32(is, "input VC occupancy");
-        ivc.bound_out_port =
-            static_cast<std::int16_t>(ser::read_i32(is, "VC bound port"));
-        ivc.bound_out_vc =
-            static_cast<std::int16_t>(ser::read_i32(is, "VC bound vc"));
+        const std::int32_t bport = ser::read_i32(is, "VC bound port");
+        const std::int32_t bvc = ser::read_i32(is, "VC bound vc");
+        if (bport != InputVc::kInvalid16 || bvc != InputVc::kInvalid16) {
+          expect_vc(bport, bvc, "input-VC binding");
+        }
+        ivc.bound_out_port = static_cast<std::int16_t>(bport);
+        ivc.bound_out_vc = static_cast<std::int16_t>(bvc);
         ivc.head_since = ser::read_u64(is, "VC head since");
         OutputVc& ovc = out_vcs_[vidx];
         ovc.credits_phits = ser::read_i32(is, "output VC credits");
         ovc.bound_packet = ser::read_i32(is, "output VC bound packet");
       }
-      out_busy_until_[port_index(r, p)] =
-          ser::read_u64(is, "port busy-until");
-      in_scan_[port_index(r, p)] = ser::read_u32(is, "port scan word");
-      out_rr_[port_index(r, p)] =
-          static_cast<std::uint16_t>(ser::read_u32(is, "port RR pointer"));
+      const std::size_t pidx = port_index(r, p);
+      out_busy_until_[pidx] = ser::read_u64(is, "port busy-until");
+      const std::uint32_t scan = ser::read_u32(is, "port scan word");
+      if ((scan & 0xffffu) >= static_cast<std::uint32_t>(vc_count(p))) {
+        corrupt("input-port RR pointer " + std::to_string(scan & 0xffffu) +
+                " out of range (port " + std::to_string(p) + " has " +
+                std::to_string(vc_count(p)) + " VCs)");
+      }
+      if ((scan >> 16) != nonempty_mask) {
+        corrupt("input-port nonempty-VC mask disagrees with the VC FIFOs "
+                "(router " + std::to_string(r) + ", port " +
+                std::to_string(p) + ")");
+      }
+      in_scan_[pidx] = scan;
+      const std::uint32_t rr = ser::read_u32(is, "port RR pointer");
+      if (rr >= static_cast<std::uint32_t>(ports_)) {
+        corrupt("output-port RR pointer " + std::to_string(rr) +
+                " out of range (routers have " + std::to_string(ports_) +
+                " ports)");
+      }
+      out_rr_[pidx] = static_cast<std::uint16_t>(rr);
     }
   }
 
@@ -424,14 +475,23 @@ void Engine::restore(std::istream& is) {
   forced_created_.clear();
   forced_flags_.clear();
   has_forced_dst_ = false;
+  const auto cap = static_cast<std::uint64_t>(cfg_.source_queue_cap);
   for (NodeId t = 0; t < topo_.num_terminals(); ++t) {
     TerminalState& ts = terminals_[static_cast<std::size_t>(t)];
     ts.pending_created = {};
     const std::uint64_t npending = ser::read_u64(is, "source queue depth");
+    if (npending > cap) {
+      corrupt("source queue depth " + std::to_string(npending) +
+              " exceeds source_queue_cap " + std::to_string(cap));
+    }
     for (std::uint64_t k = 0; k < npending; ++k) {
       ts.pending_created.push_back(ser::read_u64(is, "source queue entry"));
     }
     const std::uint64_t nforced = ser::read_u64(is, "forced dst depth");
+    if (nforced > cap) {
+      corrupt("forced queue depth " + std::to_string(nforced) +
+              " exceeds source_queue_cap " + std::to_string(cap));
+    }
     if (nforced > 0 && !has_forced_dst_) {
       const auto n = static_cast<std::size_t>(topo_.num_terminals());
       forced_dst_.resize(n);
@@ -441,7 +501,13 @@ void Engine::restore(std::istream& is) {
     }
     const auto ti = static_cast<std::size_t>(t);
     for (std::uint64_t k = 0; k < nforced; ++k) {
-      forced_dst_[ti].push_back(ser::read_i32(is, "forced dst entry"));
+      const NodeId dst = ser::read_i32(is, "forced dst entry");
+      if (dst < 0 || dst >= topo_.num_terminals() || dst == t) {
+        corrupt("forced destination " + std::to_string(dst) +
+                " of terminal " + std::to_string(t) +
+                " is out of range or the source itself");
+      }
+      forced_dst_[ti].push_back(dst);
     }
     for (std::uint64_t k = 0; k < nforced; ++k) {
       forced_created_[ti].push_back(
@@ -490,8 +556,8 @@ void Engine::restore(std::istream& is) {
   if (workload_ != nullptr) {
     workload_->set_cursor(trace_cursor);
     // Re-establish the eager queue allocation set_workload() guarantees:
-    // the sharded stepper pushes message bodies from a parallel phase and
-    // must never race a lazy resize.
+    // keyed mode pushes message bodies from a parallel phase and must
+    // never race a lazy resize.
     if (!has_forced_dst_) {
       const auto n = static_cast<std::size_t>(topo_.num_terminals());
       forced_dst_.resize(n);
@@ -502,12 +568,22 @@ void Engine::restore(std::istream& is) {
   }
 
   // --- timing wheels -----------------------------------------------------
-  const auto read_wheels = [&](SlabEventRing<FlitEvent>& fr,
-                               SlabEventRing<CreditEvent>& cr,
-                               SlabEventRing<PacketId>& dr) {
-    fr.reset(ring_size_);
-    cr.reset(ring_size_);
-    dr.reset(ring_size_);
+  ser::expect_u64(is, shards_.size(), "shard count");
+  for (std::size_t si = 0; si < shards_.size(); ++si) {
+    Shard& s = shards_[si];
+    // An event must address a router of the shard whose wheel holds it:
+    // the per-shard phases touch owner-shard state only.
+    const auto expect_owned = [&](RouterId r, const char* what) {
+      if (r < s.first_router || r >= s.end_router) {
+        corrupt(std::string(what) + " router " + std::to_string(r) +
+                " outside shard " + std::to_string(si) + " (routers [" +
+                std::to_string(s.first_router) + ", " +
+                std::to_string(s.end_router) + "))");
+      }
+    };
+    s.flit_ring.reset(ring_size_);
+    s.credit_ring.reset(ring_size_);
+    s.delivery_ring.reset(ring_size_);
     for (std::size_t slot = 0; slot < ring_size_; ++slot) {
       const std::uint32_t nf = ser::read_u32(is, "flit event count");
       for (std::uint32_t k = 0; k < nf; ++k) {
@@ -516,7 +592,10 @@ void Engine::restore(std::istream& is) {
         ev.port = ser::read_i32(is, "flit event port");
         ev.vc = ser::read_i32(is, "flit event vc");
         ev.flit = read_flit(is);
-        fr.push(slot, ev);
+        expect_owned(ev.router, "flit event");
+        expect_vc(ev.port, ev.vc, "flit event");
+        expect_live(ev.flit.packet, "flit event");
+        s.flit_ring.push(slot, ev);
       }
       const std::uint32_t nc = ser::read_u32(is, "credit event count");
       for (std::uint32_t k = 0; k < nc; ++k) {
@@ -525,21 +604,17 @@ void Engine::restore(std::istream& is) {
         ev.port = ser::read_i32(is, "credit event port");
         ev.vc = ser::read_i32(is, "credit event vc");
         ev.phits = ser::read_i32(is, "credit event phits");
-        cr.push(slot, ev);
+        expect_owned(ev.router, "credit event");
+        expect_vc(ev.port, ev.vc, "credit event");
+        s.credit_ring.push(slot, ev);
       }
       const std::uint32_t nd = ser::read_u32(is, "delivery event count");
       for (std::uint32_t k = 0; k < nd; ++k) {
-        dr.push(slot, ser::read_i32(is, "delivery event id"));
+        const PacketId id = ser::read_i32(is, "delivery event id");
+        expect_live(id, "delivery event");
+        s.delivery_ring.push(slot, id);
       }
     }
-  };
-  if (sharded_) {
-    ser::expect_u64(is, shards_.size(), "shard count");
-    for (Shard& s : shards_) {
-      read_wheels(s.flit_ring, s.credit_ring, s.delivery_ring);
-    }
-  } else {
-    read_wheels(flit_ring_, credit_ring_, delivery_ring_);
   }
 
   // --- routing mechanism state + end sentinel ----------------------------
@@ -560,34 +635,15 @@ void Engine::restore(std::istream& is) {
   std::fill(ovc_waiter_head_.begin(), ovc_waiter_head_.end(), -1);
   std::fill(vc_waiter_next_.begin(), vc_waiter_next_.end(), kNotWaiting);
 
-  // Worklists: recompute the minimal consistent sets. A stale (lazily
-  // cleared) bit's only effect was a skip-and-clear scan, so dropping it
-  // changes no decision.
+  // Scan state: the occupied-port bitmasks and nonempty-VC counts follow
+  // from the (validated) FIFOs.
   std::fill(occupied_ports_.begin(), occupied_ports_.end(), 0);
   std::fill(nonempty_vcs_.begin(), nonempty_vcs_.end(), 0);
-  std::fill(active_routers_.begin(), active_routers_.end(), 0);
   for (RouterId r = 0; r < topo_.num_routers(); ++r) {
     for (PortId p = 0; p < ports_; ++p) {
-      if ((in_scan_[port_index(r, p)] >> 16) != 0) {
-        set_occupied(r, p);
-      }
-      for (VcId v = 0; v < vc_count(p); ++v) {
-        if (!in_vcs_[vc_index(r, p, v)].fifo.empty()) {
-          ++nonempty_vcs_[static_cast<std::size_t>(r)];
-        }
-      }
-    }
-    if (nonempty_vcs_[static_cast<std::size_t>(r)] > 0) {
-      mark_router_active(r);
-    }
-  }
-  std::fill(pending_terminals_.begin(), pending_terminals_.end(), 0);
-  for (NodeId t = 0; t < topo_.num_terminals(); ++t) {
-    const TerminalState& ts = terminals_[static_cast<std::size_t>(t)];
-    if (!ts.pending_created.empty() || ts.burst_remaining > 0 ||
-        (has_forced_dst_ &&
-         !forced_dst_[static_cast<std::size_t>(t)].empty())) {
-      mark_terminal_pending(t);
+      const std::uint32_t mask = in_scan_[port_index(r, p)] >> 16;
+      if (mask != 0) set_occupied(r, p);
+      nonempty_vcs_[static_cast<std::size_t>(r)] += std::popcount(mask);
     }
   }
 }

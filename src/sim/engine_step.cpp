@@ -1,35 +1,46 @@
-// The group-sharded parallel stepper (EngineConfig::sharded).
+// The cycle stepper. Routers are partitioned into shards: shard s owns
+// routers [s*a, (s+1)*a) and their terminals, AND its own
+// flit/credit/delivery timing wheels — every event addressed to a router
+// in s lives in s's rings. A cycle runs as
 //
-// Routers are partitioned by group: shard s owns routers [s*a, (s+1)*a)
-// and their terminals, AND its own flit/credit/delivery timing wheels —
-// every event addressed to a router in s lives in s's rings. A cycle runs
-// as
+//   1. per shard — drain this cycle's slot of the shard's own credit and
+//                  flit rings (arrival bookkeeping, own routers only)
+//   2. serial    — packet deliveries (per-shard delivery rings, ascending
+//                  shard order) + RoutingAlgorithm::per_cycle + trace rows
+//   3. per shard — allocation over the shard's routers, then generation
+//                  and injection over its terminals, both ascending;
+//                  same-shard future events go straight into the shard's
+//                  own rings, only cross-shard events (global-link flits
+//                  and their credits) are staged in a per-source-shard
+//                  outbox
+//   4. serial    — replay the outboxes and hooks, materialize injections,
+//                  reduce counters, in ascending shard order
 //
-//   1. parallel — each shard drains this cycle's slot of its own credit
-//                 and flit rings (arrival bookkeeping, own routers only)
-//   2. serial   — packet deliveries (per-shard delivery rings, ascending
-//                 shard order) + RoutingAlgorithm::per_cycle
-//   3. parallel — per-shard allocation + injection; same-shard future
-//                 events go straight into the shard's own rings, only
-//                 cross-shard events (global-link flits and their
-//                 credits) are staged in a per-source-shard outbox
-//   4. serial   — replay the outboxes and hooks, materialize injections,
-//                 reduce counters, in ascending shard order
+// One stepper, two RNG regimes (EngineConfig::sharded, resolved at the
+// three draw sites by draw_rng and the generation coin):
 //
-// The serial work per cycle is O(cross-shard events + shards), not
-// O(all events + shards): intra-shard traffic — all local and terminal
-// links, the bulk of every cycle — never leaves its shard.
-//
-// Determinism for ANY worker count: the partition is a pure function of
-// the topology, the parallel phases touch only owner-shard state and
-// draw from counter-based RNG streams keyed by (seed, cycle, entity),
-// and each shard's ring contents are a pure function of that shard's
-// deterministic staging order plus the ascending-shard outbox replay.
-// Event order *within* one ring slot is arrival-bookkeeping-neutral (at
-// most one flit per input port per cycle — upstream links serialize —
-// and credit application commutes), so results are bit-identical across
-// jobs=1..N. They are NOT bit-compatible with the exact engine, whose
-// single shared RNG cursor implies a different draw sequence.
+//   exact — one shard spans every router (a = the router count), the
+//           phases run on the calling thread, and every draw comes from
+//           the one shared cursor rng_. The phase order above is then
+//           credits, flits, deliveries, per_cycle, trace, allocation over
+//           all routers ascending, injection over all terminals
+//           ascending, materialization in ascending terminal order, and
+//           no event crosses an outbox — the serial order whose RNG
+//           draws, pool ids and ring-slot orders the exact-mode goldens
+//           (bit_identity_test, burst_golden_test) pin.
+//   keyed — one shard per group (a = routers per group) stepped by a
+//           worker team with per-phase barriers; every draw comes from a
+//           counter-based stream keyed by (seed, cycle, entity). The
+//           partition is a pure function of the topology, the per-shard
+//           phases touch only owner-shard state, and each shard's ring
+//           contents are a pure function of its deterministic staging
+//           order plus the ascending-shard outbox replay. Event order
+//           *within* one ring slot is arrival-bookkeeping-neutral (at most
+//           one flit per input port per cycle — upstream links serialize —
+//           and credit application commutes), so results are
+//           bit-identical across jobs=1..N. They are NOT bit-compatible
+//           with exact mode, whose single shared cursor implies a
+//           different draw sequence.
 #include <cassert>
 #include <chrono>
 #include <memory>
@@ -83,10 +94,10 @@ Engine::~Engine() {
 }
 
 void Engine::init_shards() {
-  sharded_ = true;
   profile_ = cfg_.profile || env_flag("DF_PROFILE");
-  routers_per_shard_ = topo_.routers_per_group();
-  const int num_shards = topo_.num_groups();
+  routers_per_shard_ =
+      cfg_.sharded ? topo_.routers_per_group() : topo_.num_routers();
+  const int num_shards = topo_.num_routers() / routers_per_shard_;
   shards_.resize(static_cast<std::size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
     Shard& sh = shards_[static_cast<std::size_t>(s)];
@@ -101,7 +112,9 @@ void Engine::init_shards() {
   }
   // shard_jobs <= 0 resolves through the runtime's one thread budget: the
   // whole budget for a point run on its own, this thread's share of it
-  // for a point run by a parallel grid's worker.
+  // for a point run by a parallel grid's worker. Exact mode's one shard
+  // always steps on the calling thread.
+  if (num_shards == 1) return;
   const int workers =
       std::min(runtime::resolve_jobs(cfg_.shard_jobs), num_shards);
   if (workers > 1) {
@@ -132,12 +145,13 @@ void Engine::run_shards(void (Engine::*phase)(Shard&)) {
   shard_team_->run([this](int w) { shard_worker(w); });
 }
 
-bool Engine::step_sharded() {
-  return profile_ ? step_sharded_impl<true>() : step_sharded_impl<false>();
+bool Engine::step() {
+  if (deadlock_) return false;
+  return profile_ ? step_impl<true>() : step_impl<false>();
 }
 
 template <bool kProfile>
-bool Engine::step_sharded_impl() {
+bool Engine::step_impl() {
   // Timestamps are taken at the phase boundaries, so the four phase
   // counters tile the step exactly: arrive + deliver + alloc + flush ==
   // total by construction. The untimed instantiation contains no clock
@@ -145,28 +159,28 @@ bool Engine::step_sharded_impl() {
   std::uint64_t t0 = 0, t1 = 0, t2 = 0, t3 = 0, t4 = 0;
   if constexpr (kProfile) t0 = profile_now_ns();
 
-  // Phase 1 (parallel): per-shard arrival bookkeeping straight off each
-  // shard's own rings — the global drain-and-partition phase is gone.
+  // Phase 1 (per shard): arrival bookkeeping straight off each shard's own
+  // rings.
   run_shards(&Engine::arrive_shard);
   if constexpr (kProfile) t1 = profile_now_ns();
 
   // Phase 2 (serial): deliveries (pool release + user hook) in ascending
   // shard order, then the routing mechanism's global per-cycle work.
   // Ejection happens at the destination router, so a delivery's ring and
-  // its packet's last hop share a shard: ascending-shard drain order
-  // equals the old global wheel's flush order, keeping the pool
-  // free-list sequence (hence future packet ids) unchanged.
+  // its packet's last hop share a shard: ascending-shard drain order is a
+  // fixed function of the partition, and so is the pool free-list
+  // sequence (hence future packet ids).
   const std::size_t slot = ring_slot(now_);
   for (Shard& s : shards_) {
     s.delivery_ring.drain(slot, [&](PacketId id) { deliver(id); });
   }
   routing_.per_cycle(*this);
-  // Trace rows feed at the same serial point as the exact stepper's:
-  // after routing bookkeeping, before allocation/injection sees them.
+  // Trace rows feed after routing bookkeeping, before allocation and
+  // injection see them.
   if (workload_trace_) feed_trace();
   if constexpr (kProfile) t2 = profile_now_ns();
 
-  // Phase 3 (parallel): switch allocation + injection. Same-shard future
+  // Phase 3 (per shard): switch allocation + injection. Same-shard future
   // events are scheduled directly; cross-shard ones land in the outbox.
   run_shards(&Engine::allocate_and_inject_shard);
   if constexpr (kProfile) t3 = profile_now_ns();
@@ -192,13 +206,10 @@ bool Engine::step_sharded_impl() {
   return !deadlock_;
 }
 
-// Mirrors process_arrivals() minus the active-router bitmap: the sharded
-// allocator walks its own router range directly, and the bitmap's words
-// straddle shard boundaries (a cross-shard read-modify-write hazard).
-// Slot order differs from the retired global wheel (same-shard events
-// precede cross-shard ones) but arrival bookkeeping is order-invariant
-// within a slot: credits commute, and the upstream link's serialization
-// means at most one flit per input port per cycle.
+// Credits first, then flits. With several shards a slot holds same-shard
+// events before replayed cross-shard ones, but arrival bookkeeping is
+// order-invariant within a slot: credits commute, and the upstream link's
+// serialization means at most one flit per input port per cycle.
 void Engine::arrive_shard(Shard& s) {
   const std::size_t slot = ring_slot(now_);
 
@@ -246,22 +257,26 @@ void Engine::arrive_shard(Shard& s) {
 }
 
 void Engine::allocate_and_inject_shard(Shard& s) {
+  // Routers in ascending id order: in exact mode routing mechanisms draw
+  // from the shared cursor inside decide(), so order is part of the
+  // contract.
   for (RouterId r = s.first_router; r < s.end_router; ++r) {
-    if (nonempty_vcs_[static_cast<size_t>(r)] > 0) {
-      allocate_router(r, s.scratch, &s);
-    }
+    if (nonempty_vcs_[static_cast<size_t>(r)] > 0) allocate_router(r, s);
   }
 
+  // Terminals draw generation randomness in strict ascending order, one
+  // coin per live terminal, each followed by that terminal's injection
+  // attempt (and so its destination draw).
   const bool draws = injection_.mode == InjectionProcess::Mode::kBernoulli &&
                      (gen_probability_ > 0.0 || has_terminal_loads_);
   if (draws && !onoff_) {
-    // Plain-Bernoulli fast path: the generation coin for terminal t is a
-    // single mix64 of the hoisted per-cycle stream key against a fixed
-    // threshold — no keyed Rng is built unless the terminal reaches its
-    // destination draw (try_inject_shard derives the stream lazily; its
-    // xoshiro reseed decorrelates the stream from the raw coin value).
-    // Still a pure function of (seed, cycle, terminal), hence exactly as
-    // jobs-invariant as the full per-terminal stream it replaces.
+    // Plain Bernoulli. Exact mode flips rng_.bernoulli. Keyed mode's coin
+    // for terminal t is a single mix64 of the hoisted per-cycle stream key
+    // against a fixed threshold — no keyed Rng is built unless the
+    // terminal reaches its destination draw (try_inject_shard derives the
+    // stream lazily; its xoshiro reseed decorrelates the stream from the
+    // raw coin value). Still a pure function of (seed, cycle, terminal),
+    // hence exactly as jobs-invariant as a full per-terminal stream.
     const std::uint64_t kcd = mix64(
         mix64(cfg_.seed, static_cast<std::uint64_t>(now_)), kStreamInject);
     const bool always = gen_probability_ >= 1.0;
@@ -273,16 +288,21 @@ void Engine::allocate_and_inject_shard(Shard& s) {
       if (has_dead_terminals_ && terminal_dead_[static_cast<size_t>(t)]) {
         continue;
       }
-      TerminalState& ts = terminals_[static_cast<size_t>(t)];
-      // Per-terminal workload loads swap in each terminal's own threshold;
-      // an all-ones threshold means "always generate" in either case, so
-      // the legacy uniform-load coin is bit-for-bit unchanged.
-      const std::uint64_t th =
-          has_terminal_loads_
-              ? terminal_gen_threshold_[static_cast<std::size_t>(t)]
-              : threshold;
-      const bool generate =
-          th == ~0ULL || mix64(kcd, static_cast<std::uint64_t>(t)) < th;
+      const auto ti = static_cast<std::size_t>(t);
+      TerminalState& ts = terminals_[ti];
+      bool generate = false;
+      if (cfg_.sharded) {
+        // Per-terminal workload loads swap in each terminal's own
+        // threshold; an all-ones threshold means "always generate" in
+        // either case, so the uniform-load coin is bit-for-bit unchanged.
+        const std::uint64_t th =
+            has_terminal_loads_ ? terminal_gen_threshold_[ti] : threshold;
+        generate =
+            th == ~0ULL || mix64(kcd, static_cast<std::uint64_t>(t)) < th;
+      } else {
+        generate = rng_.bernoulli(has_terminal_loads_ ? terminal_gen_prob_[ti]
+                                                      : gen_probability_);
+      }
       if (generate) {
         const bool accepted =
             ts.pending_created.size() <
@@ -297,22 +317,22 @@ void Engine::allocate_and_inject_shard(Shard& s) {
     return;
   }
   if (draws) {
-    // ON/OFF: each terminal's generation randomness comes from its own
-    // keyed stream, in a fixed draw order: ON/OFF chain step(s),
-    // generation draw, then (inside try_inject_shard) the destination
-    // draw.
+    // Markov ON/OFF sources, in a fixed per-terminal draw order: chain
+    // step (one draw), generation at the duty-compensated rate while ON (a
+    // second draw), then (inside try_inject_shard) the destination draw —
+    // all from the terminal's keyed stream, or from the shared cursor in
+    // exact mode.
     for (NodeId t = s.first_terminal; t < s.end_terminal; ++t) {
       if (has_dead_terminals_ && terminal_dead_[static_cast<size_t>(t)]) {
         continue;
       }
       TerminalState& ts = terminals_[static_cast<size_t>(t)];
-      Rng trng = keyed_stream(cfg_.seed, now_, kStreamInject,
-                              static_cast<std::uint64_t>(t));
+      Rng& trng = draw_rng(s, kStreamInject, static_cast<std::uint64_t>(t));
       std::uint8_t& on = onoff_state_[static_cast<size_t>(t)];
       if (on != 0) {
         if (trng.bernoulli(injection_.onoff_off)) on = 0;
       } else if (trng.bernoulli(injection_.onoff_on)) {
-        on = 1;
+        on = 1;  // transitions apply immediately: an ON entry can generate
       }
       const bool generate = on != 0 && trng.bernoulli(gen_probability_on_);
       if (generate) {
@@ -328,8 +348,8 @@ void Engine::allocate_and_inject_shard(Shard& s) {
   }
 
   // No generation randomness (burst mode, zero load, or scripted
-  // destinations only): look at terminals with queued work. The keyed
-  // stream has drawn nothing yet here, so try_inject_shard derives it
+  // destinations only): look at terminals with queued work. Nothing has
+  // been drawn for the terminal yet, so try_inject_shard picks its stream
   // lazily — only if the attempt survives to the destination draw.
   for (NodeId t = s.first_terminal; t < s.end_terminal; ++t) {
     TerminalState& ts = terminals_[static_cast<size_t>(t)];
@@ -338,11 +358,11 @@ void Engine::allocate_and_inject_shard(Shard& s) {
   }
 }
 
-// try_inject + materialize, restricted to owner-shard state: the packet
+// One injection attempt, restricted to owner-shard state: the packet
 // itself (a pool allocation, hence cross-shard) is staged and materialized
-// at the flush, but the source-side bookkeeping — queue pop, destination
-// draw, inflight/link accounting — happens here so the next cycle's
-// capacity checks see it.
+// at the flush in ascending terminal order, but the source-side
+// bookkeeping — queue pop, destination draw, inflight/link accounting —
+// happens here so later capacity checks see it.
 void Engine::try_inject_shard(NodeId t, TerminalState& ts, Rng* rng,
                               Shard& s) {
   if (!terminal_has_work(t, ts)) return;
@@ -357,15 +377,14 @@ void Engine::try_inject_shard(NodeId t, TerminalState& ts, Rng* rng,
   }
 
   Cycle created = 0;
-  NodeId dst;
+  NodeId dst = kInvalid;
   std::uint8_t flags = 0;
   const auto ti = static_cast<std::size_t>(t);
   if (has_forced_dst_ && !forced_dst_[ti].empty()) {
     // Forced packets (scripted injections, workload replies, message
     // bodies, trace rows) carry their own creation time and flags and go
-    // ahead of the Bernoulli backlog — mirroring materialize(). Terminal
-    // t's queues belong to this shard alone, so the parallel-phase pop
-    // is race-free.
+    // ahead of the Bernoulli backlog. Terminal t's queues belong to this
+    // shard alone, so the per-shard pop is race-free.
     created = forced_created_[ti].front();
     forced_created_[ti].pop_front();
     dst = forced_dst_[ti].front();
@@ -380,20 +399,17 @@ void Engine::try_inject_shard(NodeId t, TerminalState& ts, Rng* rng,
       assert(ts.burst_remaining > 0);
       --ts.burst_remaining;
     }
-    Rng lazy;
     if (rng == nullptr) {
-      // No generation draw preceded this attempt, so the terminal's keyed
-      // stream is still at its origin: deriving it here, at its first
-      // actual draw, is draw-for-draw identical to deriving it up front.
-      lazy = keyed_stream(cfg_.seed, now_, kStreamInject,
-                          static_cast<std::uint64_t>(t));
-      rng = &lazy;
+      // No generation draw preceded this attempt, so a keyed stream is
+      // still at its origin: deriving it here, at its first actual draw,
+      // is draw-for-draw identical to deriving it up front.
+      rng = &draw_rng(s, kStreamInject, static_cast<std::uint64_t>(t));
     }
     dst = pattern_->dest(t, *rng);
     if (workload_ != nullptr) {
-      // Multi-packet messages: the size draw comes from the same keyed
-      // stream as the destination, keeping it a pure function of
-      // (seed, cycle, terminal) — hence jobs-invariant. Body packets
+      // Multi-packet messages: the size draw comes from the same stream
+      // as the destination (in keyed mode a pure function of
+      // (seed, cycle, terminal) — hence jobs-invariant). Body packets
       // queue as forced entries behind this head (own-terminal push:
       // race-free); their generation hook replays from the staging
       // buffer at the serial flush.
@@ -407,6 +423,9 @@ void Engine::try_inject_shard(NodeId t, TerminalState& ts, Rng* rng,
   }
   assert(dst != t && dst >= 0 && dst < topo_.num_terminals());
 
+  // A packet addressed to a terminal on a dead router can never be
+  // delivered; it is dropped at the source (counted, so accepted-load
+  // analysis can separate fault losses from congestion).
   if (has_dead_terminals_ && terminal_dead_[static_cast<size_t>(dst)]) {
     ++s.dead_dst_drops;
     return;
@@ -470,7 +489,7 @@ void Engine::flush_shard(Shard& s) {
     pkt.rs.src_group = topo_.group_of_terminal(inj.terminal);
 
     // The source terminal's router is in this very shard, so injection
-    // flits go straight into s's own wheel (we are serial here; nothing
+    // flits go straight into s's own wheel (the flush is serial; nothing
     // is draining it).
     const RouterId r = topo_.router_of_terminal(inj.terminal);
     const PortId port = topo_.terminal_port(inj.terminal);

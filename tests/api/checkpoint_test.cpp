@@ -279,6 +279,35 @@ TEST(Checkpoint, VersionOneRejectedPointedly) {
   }
 }
 
+TEST(Checkpoint, VersionFourRejectedPointedly) {
+  // v5 writes the timing wheels as a shard count followed by one wheel
+  // triple per shard, and an exact run writes one shard where v4 wrote
+  // the global wheels. A v4 exact stream must fail with a message that
+  // names the layout change, not be misparsed as a shard count.
+  const SimConfig cfg = small_config();  // engine=exact
+  std::string bytes = checkpoint_bytes(cfg, 700);
+
+  // The engine section starts with its own magic; the version u32 sits in
+  // the 4 bytes right after it (little-endian).
+  const std::size_t eng = bytes.find("DFENGCK\n");
+  ASSERT_NE(eng, std::string::npos);
+  bytes[eng + 8] = 4;
+  bytes[eng + 9] = 0;
+  bytes[eng + 10] = 0;
+  bytes[eng + 11] = 0;
+
+  SimulationRun run = SimulationRun::steady(cfg);
+  std::istringstream is(bytes);
+  try {
+    run.restore(is);
+    FAIL() << "restore() accepted a version-4 engine section";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("version 4"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("shard"), std::string::npos) << msg;
+  }
+}
+
 TEST(Checkpoint, CorruptTrailingBytesRejected) {
   // The engine section ends in a sentinel; a flipped final byte must
   // trip it rather than yield a quietly-wrong engine state.

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -325,23 +326,38 @@ TEST(ShardedCheckpoint, WorkloadMidRunCutResumesBitIdentically) {
 }
 
 // --- phase profiler ------------------------------------------------------
+// One stepper serves both RNG regimes, so the profiler must hold for each:
+// the exact engine is the stepper's one-shard configuration.
 
-TEST(ShardedProfile, PhaseCountersTileTheTotal) {
+class ShardedProfile : public ::testing::TestWithParam<bool> {
+ protected:
+  /// An h=2 engine in the parameter's mode (true = sharded).
+  Engine& make(bool profile) {
+    routing_ = make_routing("olm", topo_, RoutingParams{});
+    pattern_ = make_pattern_spec(topo_, "un");
+    EngineConfig ec;
+    ec.sharded = GetParam();
+    ec.shard_jobs = 2;
+    ec.profile = profile;
+    ec.seed = 7;
+    InjectionProcess inj;
+    inj.load = 0.3;
+    engine_ = std::make_unique<Engine>(topo_, ec, *routing_, *pattern_, inj);
+    return *engine_;
+  }
+
+ private:
+  DragonflyTopology topo_{2};
+  std::unique_ptr<RoutingAlgorithm> routing_;
+  std::unique_ptr<TrafficPattern> pattern_;
+  std::unique_ptr<Engine> engine_;
+};
+
+TEST_P(ShardedProfile, PhaseCountersTileTheTotal) {
   // Timestamps are taken at phase boundaries, so the four phase counters
   // must sum to the step total exactly — any gap means a phase is timed
   // against the wrong edge (and the serial-fraction telemetry lies).
-  DragonflyTopology topo(2);
-  RoutingParams rp;
-  auto routing = make_routing("olm", topo, rp);
-  auto pattern = make_pattern_spec(topo, "un");
-  EngineConfig ec;
-  ec.sharded = true;
-  ec.shard_jobs = 2;
-  ec.profile = true;
-  ec.seed = 7;
-  InjectionProcess inj;
-  inj.load = 0.3;
-  Engine engine(topo, ec, *routing, *pattern, inj);
+  Engine& engine = make(true);
   ASSERT_TRUE(engine.profiling());
   for (int i = 0; i < 200; ++i) engine.step();
 
@@ -354,20 +370,10 @@ TEST(ShardedProfile, PhaseCountersTileTheTotal) {
   EXPECT_LT(p.serial_fraction(), 1.0);
 }
 
-TEST(ShardedProfile, OffByDefaultAndAllZero) {
+TEST_P(ShardedProfile, OffByDefaultAndAllZero) {
   // Profiling off is the hot configuration: the counters must stay
   // untouched (no clock reads leak into the unprofiled step path).
-  DragonflyTopology topo(2);
-  RoutingParams rp;
-  auto routing = make_routing("olm", topo, rp);
-  auto pattern = make_pattern_spec(topo, "un");
-  EngineConfig ec;
-  ec.sharded = true;
-  ec.shard_jobs = 2;
-  ec.seed = 7;
-  InjectionProcess inj;
-  inj.load = 0.3;
-  Engine engine(topo, ec, *routing, *pattern, inj);
+  Engine& engine = make(false);
   EXPECT_FALSE(engine.profiling());
   for (int i = 0; i < 50; ++i) engine.step();
 
@@ -377,6 +383,12 @@ TEST(ShardedProfile, OffByDefaultAndAllZero) {
   EXPECT_EQ(p.arrive_ns + p.deliver_ns + p.alloc_ns + p.flush_ns, 0u);
   EXPECT_EQ(p.serial_fraction(), 0.0);
 }
+
+INSTANTIATE_TEST_SUITE_P(EngineModes, ShardedProfile,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "sharded" : "exact";
+                         });
 
 // --- exact vs sharded statistical agreement ------------------------------
 
