@@ -19,7 +19,9 @@ namespace {
 
 using namespace dfsim;
 
-void BM_EngineCycle(benchmark::State& state) {
+// One engine cycle under OLM and uniform traffic after a 2000-cycle warm
+// up; range(0) = h, range(1) = load in percent.
+void run_engine_cycles(benchmark::State& state, const EngineConfig& ec) {
   const int h = static_cast<int>(state.range(0));
   const double load = static_cast<double>(state.range(1)) / 100.0;
   const DragonflyTopology topo(h);
@@ -27,7 +29,6 @@ void BM_EngineCycle(benchmark::State& state) {
   UniformPattern pattern(topo);
   InjectionProcess inj;
   inj.load = load;
-  EngineConfig ec;
   Engine engine(topo, ec, *routing, pattern, inj);
   engine.run_until(2000);  // warm the network to steady occupancy
   for (auto _ : state) {
@@ -38,12 +39,29 @@ void BM_EngineCycle(benchmark::State& state) {
       static_cast<double>(engine.delivered_phits()),
       benchmark::Counter::kIsRate);
 }
+
+void BM_EngineCycle(benchmark::State& state) {
+  run_engine_cycles(state, EngineConfig{});
+}
 BENCHMARK(BM_EngineCycle)
     ->Args({2, 30})
-    ->Args({3, 5})  // low load: the active-router worklist's home turf
+    ->Args({3, 5})  // low load: most routers idle, the scan masks skip them
     ->Args({3, 30})
     ->Args({3, 80})
     ->Args({4, 50})
+    ->Unit(benchmark::kMicrosecond);
+
+// The keyed (sharded) stepper on one worker: one shard per group, keyed
+// RNG streams, per-shard fused flit arrival + allocation.
+void BM_EngineCycleKeyed(benchmark::State& state) {
+  EngineConfig ec;
+  ec.sharded = true;
+  ec.shard_jobs = 1;
+  run_engine_cycles(state, ec);
+}
+BENCHMARK(BM_EngineCycleKeyed)
+    ->Args({3, 30})
+    ->Args({6, 30})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_ParitySignTableBuild(benchmark::State& state) {

@@ -88,6 +88,14 @@ class Rng {
     for (int i = 0; i < kStateWords; ++i) state_[i] = in[i];
   }
 
+  /// Same stream position: both would produce the same draws from here.
+  friend bool operator==(const Rng& a, const Rng& b) {
+    for (int i = 0; i < kStateWords; ++i) {
+      if (a.state_[i] != b.state_[i]) return false;
+    }
+    return true;
+  }
+
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -103,8 +103,17 @@ std::optional<RouteChoice> AdaptiveBase::decide_impure(RoutingContext& ctx,
   // hot: minimal_hop just resolved it.)
   if (static_cast<PortClass>(ctx.packet.min_cache.cls) ==
       PortClass::kTerminal) {
+    ctx.wait_port = min.port;
     return std::nullopt;
   }
+
+  // A minimal VC at full credits admits no candidate (occupancy < θ·0 is
+  // never true), and only a departure on the minimal port can lower its
+  // credits. The candidates are still collected: their draws come from
+  // the caller's stream either way.
+  const double min_occ =
+      eng.output_occupancy(ctx.router, min.port, min.vc);
+  if (min_occ == 0.0) ctx.wait_port = min.port;
 
   static thread_local std::vector<RouteChoice> candidates;
   static thread_local std::vector<RouteChoice> eligible;
@@ -113,8 +122,6 @@ std::optional<RouteChoice> AdaptiveBase::decide_impure(RoutingContext& ctx,
   collect_local_candidates(ctx, candidates);
   if (candidates.empty()) return std::nullopt;
 
-  const double min_occ =
-      eng.output_occupancy(ctx.router, min.port, min.vc);
   // Branchless compaction: write every candidate and advance the cursor
   // by the verdict, instead of a hard-to-predict keep/skip branch per
   // candidate (the usable/trigger mix is close to 50/50 under congestion

@@ -50,6 +50,15 @@ struct RoutingContext {
   /// contract); sharded mode passes a counter-based stream keyed by
   /// (seed, cycle, vc index) so results are worker-count independent.
   Rng& rng;
+  /// Out: decide() sets this when it returns nullopt and no retry,
+  /// whatever it draws, can return anything else before output
+  /// `wait_port` becomes usable or a flit departs on it. Example: the
+  /// minimal VC sits at full credits (occupancy 0), so no misroute
+  /// candidate can pass the trigger's `occupancy < threshold * 0`. The
+  /// engine then sleeps the head while `wait_port`'s link is still
+  /// serializing an earlier flit, since neither can happen before the
+  /// link frees. Left at kInvalid otherwise.
+  PortId wait_port = kInvalid;
 };
 
 class RoutingAlgorithm {

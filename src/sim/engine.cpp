@@ -370,7 +370,12 @@ void Engine::allocate_router(RouterId r, Shard& s) {
       // Every nonempty VC of this port is asleep: one load replaces the
       // whole VC walk. Arrivals and credit wakes clear the gate; timed
       // sleeps simply expire.
-      if (port_wake_[pbase] > now_) continue;
+      if (port_wake_[pbase] > now_) {
+#ifndef NDEBUG
+        for (VcId v = 0; v < vc_count(p); ++v) check_guaranteed_wait(r, p, v);
+#endif
+        continue;
+      }
       const int nvc = vc_count(p);
       const std::uint32_t scan = in_scan_[pbase];
       const std::uint32_t mask = scan >> 16;
@@ -390,6 +395,9 @@ void Engine::allocate_router(RouterId r, Shard& s) {
         const VcId v = static_cast<VcId>(vi);
         const std::size_t vidx = vc_index(r, p, v);
         if (vc_sleep_until_[vidx] > now_) {  // provably blocked
+#ifndef NDEBUG
+          check_guaranteed_wait(r, p, v);
+#endif
           if (vc_sleep_until_[vidx] < port_min) {
             port_min = vc_sleep_until_[vidx];
           }
@@ -439,6 +447,10 @@ void Engine::allocate_router(RouterId r, Shard& s) {
           RoutingContext ctx{
               *this, r,    p, v, pkt, flit,
               draw_rng(s, kStreamRoute, static_cast<std::uint64_t>(vidx))};
+          // Exact mode: the shared cursor before the decision (see the
+          // guaranteed wait below).
+          std::optional<Rng> cursor;
+          if (!cfg_.sharded) cursor = rng_;
           std::optional<RouteChoice> choice;
           if (hh == kHeadUnknown) {
             // First decision for this (head, router): the fused entry
@@ -469,7 +481,23 @@ void Engine::allocate_router(RouterId r, Shard& s) {
           }
           {
             if (!choice) {
-              port_min = 0;  // drew RNG and failed: must retry next cycle
+              // A guaranteed wait (RoutingContext::wait_port): no retry
+              // can succeed while the waited-on link still serializes, so
+              // the head sleeps until it frees. Skipped keyed retries
+              // would draw only from their own (cycle, VC) streams, which
+              // nothing else reads. Skipped exact retries must not move
+              // the shared cursor; they draw nothing when this decision
+              // drew nothing, since a blocked head's draws depend only on
+              // its route state and router.
+              if (ctx.wait_port != kInvalid &&
+                  (cfg_.sharded || *cursor == rng_) &&
+                  sleep_while_busy(vidx, ivc, r, ctx.wait_port)) {
+                if (vc_sleep_until_[vidx] < port_min) {
+                  port_min = vc_sleep_until_[vidx];
+                }
+                continue;
+              }
+              port_min = 0;  // failed, may succeed next cycle: retry
               continue;
             }
             assert(output_usable(r, choice->port, choice->vc, flit));
@@ -524,6 +552,32 @@ void Engine::allocate_router(RouterId r, Shard& s) {
                next_vc == vc_count(nom.in_port) ? 0 : next_vc);
   }
 }
+
+#ifndef NDEBUG
+void Engine::check_guaranteed_wait(RouterId r, PortId p, VcId v) {
+  const std::size_t vidx = vc_index(r, p, v);
+  // Only an impure head's sleep is a guaranteed wait: pure heads and
+  // wormhole continuations sleep through suppress_retry.
+  const InputVc& ivc = in_vcs_[vidx];
+  if (ivc.fifo.empty() || vc_sleep_until_[vidx] <= now_ ||
+      head_hop_[vidx] != kHeadImpure) {
+    return;
+  }
+  const Flit& flit = ivc.fifo.front();
+  Rng throwaway = rng_;
+  if (cfg_.sharded) {
+    throwaway = keyed_stream(cfg_.seed, static_cast<std::uint64_t>(now_),
+                             kStreamRoute, vidx);
+  }
+  RoutingContext ctx{*this, r, p, v, pool_[flit.packet], flit, throwaway};
+  const std::optional<RouteChoice> choice = routing_.decide(ctx);
+  assert(!choice && "a guaranteed-wait sleep skipped a retry that moves");
+  // Exact mode: the skipped retry must not have moved the shared cursor.
+  assert((cfg_.sharded || throwaway == rng_) &&
+         "a guaranteed-wait sleep skipped an exact-mode draw");
+  (void)choice;
+}
+#endif
 
 void Engine::apply_route_state(Packet& pkt, RouterId r,
                                const RouteChoice& choice) {

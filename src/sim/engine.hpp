@@ -7,10 +7,11 @@
 //
 // One cycle stepper, two RNG regimes. Routers are partitioned into shards
 // that each own their routers, terminals and timing wheels; a cycle runs
-//   1. arrivals          (per shard: credits, then flits)
+//   1. credit arrivals   (per shard)
 //   2. deliveries        (ascending shard order) + per-cycle routing work
-//   3. allocation        (per shard: switch allocation over its routers,
-//      + injection        then its terminals' generation and injection)
+//   3. flit arrivals     (per shard, one pass: its flit arrivals, switch
+//      + allocation       allocation over its routers, then its
+//      + injection        terminals' generation and injection)
 //   4. flush             (ascending shard order: cross-shard events,
 //                         hooks, packet materialization, counters)
 // Exact mode (the default) is the one-shard configuration: a single shard
@@ -170,9 +171,9 @@ class Engine {
   /// construction. All-zero when profiling is off.
   struct PhaseProfile {
     std::uint64_t steps = 0;
-    std::uint64_t arrive_ns = 0;   ///< per shard: ring drains
+    std::uint64_t arrive_ns = 0;   ///< per shard: credit ring drains
     std::uint64_t deliver_ns = 0;  ///< serial: deliveries + per_cycle
-    std::uint64_t alloc_ns = 0;    ///< per shard: allocation + injection
+    std::uint64_t alloc_ns = 0;    ///< per shard: flit drains + alloc + inject
     std::uint64_t flush_ns = 0;    ///< serial: outbox replay + injections
     std::uint64_t total_ns = 0;
     /// Amdahl estimate: the share of step time spent in the serial
@@ -435,6 +436,20 @@ class Engine {
     return ovc.bound_packet == kInvalid && ovc.credits_phits >= flit_phits_;
   }
 
+  /// If output `port`'s link is still serializing a flit, sleep the head
+  /// at `vidx` until the link frees, capped at the head's watchdog
+  /// deadline — exactly the first cycle the per-head deadlock check would
+  /// fire, so detection timing is untouched. False (no sleep) when the
+  /// link is idle.
+  bool sleep_while_busy(std::size_t vidx, const InputVc& ivc, RouterId r,
+                        PortId port) {
+    const Cycle busy = out_busy_until_[port_index(r, port)];
+    if (busy <= now_) return false;
+    const Cycle deadline = ivc.head_since + cfg_.watchdog_cycles + 1;
+    vc_sleep_until_[vidx] = busy < deadline ? busy : deadline;
+    return true;
+  }
+
   /// Head at `vidx` just failed its (decision-free) usability check
   /// toward (out_port, out_vc). Nothing can change the verdict except
   ///   - the output link's serialization ending (a known future cycle),
@@ -448,17 +463,12 @@ class Engine {
   /// blocked (pure-minimal heads, wormhole continuations) may use this.
   void suppress_retry(std::size_t vidx, const InputVc& ivc, RouterId r,
                       PortId out_port, VcId out_vc) {
-    const Cycle deadline = ivc.head_since + cfg_.watchdog_cycles + 1;
-    const Cycle busy = out_busy_until_[port_index(r, out_port)];
-    if (busy > now_) {
-      vc_sleep_until_[vidx] = busy < deadline ? busy : deadline;
-      return;
-    }
+    if (sleep_while_busy(vidx, ivc, r, out_port)) return;
     // An idle terminal output is always usable — being blocked on one is
     // impossible here.
     assert(pclass(out_port) != PortClass::kTerminal);
     const std::size_t ovidx = vc_index(r, out_port, out_vc);
-    vc_sleep_until_[vidx] = deadline;
+    vc_sleep_until_[vidx] = ivc.head_since + cfg_.watchdog_cycles + 1;
     if (vc_waiter_next_[vidx] == kNotWaiting) {
       vc_waiter_next_[vidx] = ovc_waiter_head_[ovidx];
       ovc_waiter_head_[ovidx] = static_cast<std::int32_t>(vidx);
@@ -521,8 +531,16 @@ class Engine {
   /// Exact mode returns the shared cursor rng_, whose ascending draw order
   /// is its contract. Keyed mode derives the counter-based stream for
   /// (seed, cycle, domain, entity) into the shard's scratch slot, so any
-  /// worker evaluating the draw constructs the identical stream.
+  /// worker evaluating the draw constructs the identical stream. The
+  /// (seed, cycle, domain) prefix is hashed once per step (stream_key_).
   Rng& draw_rng(Shard& s, std::uint64_t domain, std::uint64_t entity);
+#ifndef NDEBUG
+  /// Debug oracle for a guaranteed-wait sleep: if the head at (r, p, v)
+  /// is asleep on one, re-run its decision against a throwaway stream (a
+  /// fresh keyed stream, or a copy of rng_ in exact mode) and assert that
+  /// it still waits and, in exact mode, draws nothing.
+  void check_guaranteed_wait(RouterId r, PortId p, VcId v);
+#endif
 
   // --- workload support -------------------------------------------------
   /// Queue a fully-specified packet (destination, creation time, flags)
@@ -551,7 +569,8 @@ class Engine {
   bool step_impl();
   void run_shards(void (Engine::*phase)(Shard&));
   void shard_worker(int worker);
-  void arrive_shard(Shard& s);
+  void arrive_credits_shard(Shard& s);
+  void arrive_flits(Shard& s);
   void allocate_and_inject_shard(Shard& s);
   /// `rng` is null when no generation draw preceded this attempt: the
   /// injection stream is then picked at the destination draw (the only
@@ -599,6 +618,10 @@ class Engine {
   /// no cycle before T can change the verdict and no RNG would be drawn —
   /// so the VC sleeps until min(T, its watchdog deadline) and the scan
   /// skips it with a single load. Bit-identical to retrying every cycle.
+  /// Impure heads sleep the same way on a guaranteed wait
+  /// (RoutingContext::wait_port): their skipped retries could not succeed
+  /// either, and would draw only from keyed streams nothing else reads
+  /// (exact mode sleeps only when the failed decision drew nothing).
   std::vector<Cycle> vc_sleep_until_;
   /// Port-level aggregation of vc_sleep_until_: when EVERY nonempty VC of
   /// an input port is asleep, the port records its earliest wake here and
@@ -770,12 +793,16 @@ class Engine {
   /// injection and message-size draws on the terminal id.
   static constexpr std::uint64_t kStreamRoute = 1;
   static constexpr std::uint64_t kStreamInject = 2;
+  /// This step's keyed_stream prefix per domain,
+  /// mix64(mix64(seed, now), domain), set at the top of every step.
+  std::uint64_t stream_key_[3] = {0, 0, 0};
 };
 
 inline Rng& Engine::draw_rng(Shard& s, std::uint64_t domain,
                              std::uint64_t entity) {
   if (!cfg_.sharded) return rng_;
-  s.scratch.rng = keyed_stream(cfg_.seed, now_, domain, entity);
+  // keyed_stream(seed, now_, domain, entity), from the hoisted prefix.
+  s.scratch.rng.reseed(mix64(stream_key_[domain], entity));
   return s.scratch.rng;
 }
 

@@ -3,18 +3,28 @@
 // flit/credit/delivery timing wheels — every event addressed to a router
 // in s lives in s's rings. A cycle runs as
 //
-//   1. per shard — drain this cycle's slot of the shard's own credit and
-//                  flit rings (arrival bookkeeping, own routers only)
+//   1. per shard — drain this cycle's slot of the shard's own credit ring
+//                  (credit bookkeeping, own routers only)
 //   2. serial    — packet deliveries (per-shard delivery rings, ascending
 //                  shard order) + RoutingAlgorithm::per_cycle + trace rows
-//   3. per shard — allocation over the shard's routers, then generation
-//                  and injection over its terminals, both ascending;
-//                  same-shard future events go straight into the shard's
-//                  own rings, only cross-shard events (global-link flits
-//                  and their credits) are staged in a per-source-shard
-//                  outbox
+//   3. per shard — drain this cycle's slot of the shard's own flit ring,
+//                  then allocation over the shard's routers, then
+//                  generation and injection over its terminals, both
+//                  ascending; same-shard future events go straight into
+//                  the shard's own rings, only cross-shard events
+//                  (global-link flits and their credits) are staged in a
+//                  per-source-shard outbox
 //   4. serial    — replay the outboxes and hooks, materialize injections,
 //                  reduce counters, in ascending shard order
+//
+// Flit arrivals ride in phase 3, in the same per-shard pass as the
+// shard's allocation, so the VC, arena and packet lines they touch are
+// still in cache when the shard's routers decide. Nothing in phase 2
+// reads what a flit arrival writes (input VCs, scan masks, injection
+// reservations): deliveries and trace rows touch the packet pool and the
+// source queues, and per_cycle reads output credits, which phase 1 has
+// already applied. So moving the flit drain past phase 2 changes no
+// simulated bit.
 //
 // One stepper, two RNG regimes (EngineConfig::sharded, resolved at the
 // three draw sites by draw_rng and the generation coin):
@@ -22,7 +32,7 @@
 //   exact — one shard spans every router (a = the router count), the
 //           phases run on the calling thread, and every draw comes from
 //           the one shared cursor rng_. The phase order above is then
-//           credits, flits, deliveries, per_cycle, trace, allocation over
+//           credits, deliveries, per_cycle, trace, flits, allocation over
 //           all routers ascending, injection over all terminals
 //           ascending, materialization in ascending terminal order, and
 //           no event crosses an outbox — the serial order whose RNG
@@ -40,7 +50,8 @@
 //           and credit application commutes), so results are
 //           bit-identical across jobs=1..N. They are NOT bit-compatible
 //           with exact mode, whose single shared cursor implies a
-//           different draw sequence.
+//           different draw sequence. keyed_golden_test pins keyed
+//           results across versions.
 #include <cassert>
 #include <chrono>
 #include <memory>
@@ -159,9 +170,15 @@ bool Engine::step_impl() {
   std::uint64_t t0 = 0, t1 = 0, t2 = 0, t3 = 0, t4 = 0;
   if constexpr (kProfile) t0 = profile_now_ns();
 
-  // Phase 1 (per shard): arrival bookkeeping straight off each shard's own
-  // rings.
-  run_shards(&Engine::arrive_shard);
+  // This step's keyed-stream prefixes (draw_rng and the generation coin).
+  const std::uint64_t cycle_key =
+      mix64(cfg_.seed, static_cast<std::uint64_t>(now_));
+  stream_key_[kStreamRoute] = mix64(cycle_key, kStreamRoute);
+  stream_key_[kStreamInject] = mix64(cycle_key, kStreamInject);
+
+  // Phase 1 (per shard): credit bookkeeping straight off each shard's own
+  // credit ring.
+  run_shards(&Engine::arrive_credits_shard);
   if constexpr (kProfile) t1 = profile_now_ns();
 
   // Phase 2 (serial): deliveries (pool release + user hook) in ascending
@@ -180,8 +197,9 @@ bool Engine::step_impl() {
   if (workload_trace_) feed_trace();
   if constexpr (kProfile) t2 = profile_now_ns();
 
-  // Phase 3 (per shard): switch allocation + injection. Same-shard future
-  // events are scheduled directly; cross-shard ones land in the outbox.
+  // Phase 3 (per shard): flit arrivals, switch allocation + injection.
+  // Same-shard future events are scheduled directly; cross-shard ones land
+  // in the outbox.
   run_shards(&Engine::allocate_and_inject_shard);
   if constexpr (kProfile) t3 = profile_now_ns();
 
@@ -206,15 +224,12 @@ bool Engine::step_impl() {
   return !deadlock_;
 }
 
-// Credits first, then flits. With several shards a slot holds same-shard
-// events before replayed cross-shard ones, but arrival bookkeeping is
-// order-invariant within a slot: credits commute, and the upstream link's
-// serialization means at most one flit per input port per cycle.
-void Engine::arrive_shard(Shard& s) {
-  const std::size_t slot = ring_slot(now_);
-
+// Credit application commutes, so the order of a slot's credits (with
+// several shards: same-shard events before replayed cross-shard ones) is
+// immaterial.
+void Engine::arrive_credits_shard(Shard& s) {
   s.credit_ring.drain_prefetch(
-      slot,
+      ring_slot(now_),
       [&](const CreditEvent& ev) {
         __builtin_prefetch(&out_vcs_[vc_index(ev.router, ev.port, ev.vc)]);
       },
@@ -225,11 +240,18 @@ void Engine::arrive_shard(Shard& s) {
         assert(ovc.credits_phits <= port_capacity(ev.port));
         wake_waiters(ovidx);  // waiter chains never leave the router
       });
+}
 
+// Flit arrival bookkeeping is order-invariant within a slot too: the
+// upstream link's serialization means at most one flit per input port per
+// cycle. The prefetch pass also pulls in each flit's packet, which the
+// allocation right after this drain reads for every fresh head.
+void Engine::arrive_flits(Shard& s) {
   s.flit_ring.drain_prefetch(
-      slot,
+      ring_slot(now_),
       [&](const FlitEvent& ev) {
         __builtin_prefetch(&in_vcs_[vc_index(ev.router, ev.port, ev.vc)]);
+        __builtin_prefetch(&pool_[ev.flit.packet]);
       },
       [&](const FlitEvent& ev) {
         const std::size_t vidx = vc_index(ev.router, ev.port, ev.vc);
@@ -257,6 +279,8 @@ void Engine::arrive_shard(Shard& s) {
 }
 
 void Engine::allocate_and_inject_shard(Shard& s) {
+  arrive_flits(s);
+
   // Routers in ascending id order: in exact mode routing mechanisms draw
   // from the shared cursor inside decide(), so order is part of the
   // contract.
@@ -277,8 +301,7 @@ void Engine::allocate_and_inject_shard(Shard& s) {
     // stream lazily; its xoshiro reseed decorrelates the stream from the
     // raw coin value). Still a pure function of (seed, cycle, terminal),
     // hence exactly as jobs-invariant as a full per-terminal stream.
-    const std::uint64_t kcd = mix64(
-        mix64(cfg_.seed, static_cast<std::uint64_t>(now_)), kStreamInject);
+    const std::uint64_t kcd = stream_key_[kStreamInject];
     const bool always = gen_probability_ >= 1.0;
     const std::uint64_t threshold =
         always ? ~0ULL

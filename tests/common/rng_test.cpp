@@ -132,5 +132,22 @@ TEST(Rng, KeyedStreamIsPureFunctionOfKey) {
   }
 }
 
+// The exact stepper compares the shared cursor before and after a failed
+// decision to learn whether it drew: equality is stream position.
+TEST(Rng, EqualityIsStreamPosition) {
+  Rng a(5);
+  Rng b(5);
+  EXPECT_TRUE(a == b);
+  a.next_u64();
+  EXPECT_FALSE(a == b);
+  b.next_u64();
+  EXPECT_TRUE(a == b);
+  EXPECT_FALSE(Rng(5) == Rng(6));
+  // The keyed stepper hoists mix64(mix64(seed, cycle), domain) per step;
+  // finishing the chain per entity must give keyed_stream's stream.
+  EXPECT_TRUE(Rng(mix64(mix64(mix64(42, 7), 1), 12345)) ==
+              keyed_stream(42, 7, 1, 12345));
+}
+
 }  // namespace
 }  // namespace dfsim
